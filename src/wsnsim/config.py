@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,10 @@ class ScenarioConfig:
     sink_range_m: float = 25.0
 
     def validate(self) -> None:
+        # NaN fails every comparison below, so reject non-finite values first
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"configuration error: '{f.name}' must be finite")
         if self.nodes < 1:
             raise ValueError("configuration error: 'nodes' must be >= 1")
         if self.rounds < 1:

@@ -3,8 +3,11 @@
 Each round runs: sensing draws, head election (free of radio cost),
 cluster membership, then the charged data plane in a fixed order --
 member transmissions by node id, then head aggregation/forwarding from
-the bottom tier up.  Every joule leaves through the residual-energy
-arrays, so consumed energy always equals the drop in total residual.
+the bottom tier up.  Every election yields a list of head tiers; the
+flat protocols (LEACH, TEEN, DEEC, CAMP-TEEN) yield a single tier, so
+one tier walk forwards for all five.  Every joule leaves through the
+residual-energy arrays, so consumed energy always equals the drop in
+total residual.
 
 Random draws per round are fixed-size and ordered (sensing, then
 election, one array per stage, indexed by node id) so a seed fully
@@ -72,15 +75,18 @@ class Engine:
     # -- election ---------------------------------------------------------
 
     def _elect(self, net: NetworkState, rnd: int, rng: np.random.Generator):
-        """Returns (head ids, H-TEEN tiers or None, CAMP cover or None)."""
+        """Returns (head tiers bottom up, CAMP cover or None).
+
+        Flat protocols elect a single tier.
+        """
         n = net.n
         if self.kind in (ProtocolKind.LEACH, ProtocolKind.TEEN):
             u = rng.random(n)
-            return leach_elect_chs(net, self.cfg.p_opt, self.tracker, rnd, u), None, None
+            return [leach_elect_chs(net, self.cfg.p_opt, self.tracker, rnd, u)], None
         if self.kind == ProtocolKind.DEEC:
             u = rng.random(n)
             avg = deec_average_energy(net.e_total, n, rnd, self.lifetime_estimate)
-            return deec_elect_chs(net, self.cfg, self.elig, rnd, avg, u), None, None
+            return [deec_elect_chs(net, self.cfg, self.elig, rnd, avg, u)], None
         if self.kind == ProtocolKind.HTEEN:
             u = rng.random(n)
             draws = rng.random((self.cfg.hierarchy_layers - 1, n))
@@ -89,10 +95,10 @@ class Engine:
                 net, base, self.cfg.hierarchy_layers, self.trackers,
                 self.cfg.layer_p, rnd, draws,
             )
-            return tiers[0], tiers, None
+            return tiers, None
         alpha = rng.random(n)
         ch_ids, ch_of = campteen_elect_chs(net, self.cfg, alpha)
-        return ch_ids, None, ch_of
+        return [ch_ids], ch_of
 
     # -- one round --------------------------------------------------------
 
@@ -106,7 +112,8 @@ class Engine:
 
         before = float(net.residual.sum())
         sense_environment(net, rng)
-        ch_ids, tiers, camp_cover = self._elect(net, rnd, rng)
+        tiers, camp_cover = self._elect(net, rnd, rng)
+        ch_ids = tiers[0]
 
         if ch_ids.size == 0:
             return RoundMetrics(rnd, n_alive0, n - n_alive0, 0, 0, 0, self._cum_bs, 0.0)
@@ -149,22 +156,19 @@ class Engine:
             sent[ch_ids[own]] = True
             net.last_tx[sent] = net.sensed[sent]
 
+        # forward aggregates tier by tier from the bottom up; with a mobile
+        # sink any head within `sink_range_m` skips the hierarchy
         sx, sy = sink_position(sinkst, rnd)
+        direct_r2 = (self.cfg.sink_range_m * self.cfg.sink_range_m
+                     if sinkst.mode == SinkMode.MOBILE_TOP else -np.inf)
         to_bs = 0
-        if tiers is None:
-            dxs = net.x[ch_ids] - sx
-            dys = net.y[ch_ids] - sy
-            tx_d2 = dxs * dxs + dys * dys
-            target = np.full(ch_ids.size, -1, np.int64)
+        for senders, target, tx_d2 in hteen_build_hierarchy(net, tiers, sx, sy, direct_r2):
             b, c, _s = _kernels.relay_phase(
-                ch_ids, signals, net.residual, tx_d2, target,
+                senders, signals, net.residual, tx_d2, target,
                 self._e_elec_b, self._e_fs_b, self._e_mp_b, self._e_da_b, self._d0sq,
             )
             to_bs += b
             to_ch += c
-        else:
-            to_bs, to_ch = self._forward_tiers(
-                net, tiers, signals, to_ch, sinkst, sx, sy)
 
         after = float(net.residual.sum())
         alive_end = net.alive_count()
@@ -174,43 +178,3 @@ class Engine:
             ch_count=int(ch_ids.size), packets_to_ch=to_ch, packets_to_bs=to_bs,
             cum_packets_to_bs=self._cum_bs, energy_consumed_j=before - after,
         )
-
-    def _forward_tiers(self, net, tiers, signals, to_ch, sinkst, sx, sy):
-        """Forward aggregates tier by tier from the bottom up.
-
-        Interior heads relay to their attached parent; with a mobile sink
-        any head currently within `sink_range_m` skips the hierarchy and
-        delivers directly.
-        """
-        parents, _top = hteen_build_hierarchy(net, tiers)
-        mobile = sinkst.mode == SinkMode.MOBILE_TOP
-        sr2 = self.cfg.sink_range_m * self.cfg.sink_range_m
-        to_bs = 0
-        for level, ids in enumerate(tiers):
-            promoted = set(tiers[level + 1].tolist()) if level + 1 < len(tiers) else set()
-            senders = [i for i in ids.tolist() if i not in promoted]
-            if not senders:
-                continue
-            arr = np.asarray(senders, np.int64)
-            tx_d2 = np.empty(arr.size)
-            target = np.empty(arr.size, np.int64)
-            for k, i in enumerate(senders):
-                dxs = net.x[i] - sx
-                dys = net.y[i] - sy
-                d2s = dxs * dxs + dys * dys
-                parent = parents[i]
-                if parent < 0 or (mobile and d2s <= sr2):
-                    target[k] = -1
-                    tx_d2[k] = d2s
-                else:
-                    dxp = net.x[i] - net.x[parent]
-                    dyp = net.y[i] - net.y[parent]
-                    target[k] = parent
-                    tx_d2[k] = dxp * dxp + dyp * dyp
-            b, c, _s = _kernels.relay_phase(
-                arr, signals, net.residual, tx_d2, target,
-                self._e_elec_b, self._e_fs_b, self._e_mp_b, self._e_da_b, self._d0sq,
-            )
-            to_bs += b
-            to_ch += c
-        return to_bs, to_ch

@@ -1,8 +1,9 @@
 """Cluster-head election rules for the five protocols.
 
 Pure election mathematics lives here (thresholds, eligibility epochs,
-energy-weighted probabilities, layer promotion, timer-based cover); the
-steady-state data plane that spends energy is in ``engine``.
+energy-weighted probabilities, layer promotion and the tier walk,
+timer-based cover); the steady-state data plane that spends energy is
+in ``engine``.
 """
 from __future__ import annotations
 
@@ -310,34 +311,34 @@ def hteen_promote_layers(
 
 
 def hteen_build_hierarchy(
-    net: NetworkState, tiers: list[np.ndarray]
-) -> tuple[dict[int, int], list[int]]:
-    """Attach each non-promoted head to its nearest next-tier head.
+    net: NetworkState, tiers: list[np.ndarray], sx: float, sy: float, direct_r2: float
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Route every head one hop up the tier hierarchy, bottom tier first.
 
-    Returns (parent map, top head ids).  A head whose next tier is empty
-    reports directly to the sink (parent -1), as does the top tier.
-    Edges only ever connect adjacent tiers.
+    Returns one (senders, targets, tx_d2) triple per tier.  A tier's
+    senders are its heads not promoted to the next tier (ascending); each
+    targets its nearest next-tier head, or the sink (-1) when the next
+    tier is empty, the head is in the top tier, or its squared distance
+    to the sink at (sx, sy) is within `direct_r2`.  A flat protocol is a
+    single tier, so all of its heads target the sink.
     """
-    parents: dict[int, int] = {}
-    top: list[int] = []
-    for level, ids in enumerate(tiers):
-        promoted = set(tiers[level + 1].tolist()) if level + 1 < len(tiers) else set()
-        senders = [i for i in ids.tolist() if i not in promoted]
-        if level + 1 >= len(tiers) or len(promoted) == 0:
-            for i in senders:
-                parents[i] = -1
-                top.append(i)
-            continue
-        up = tiers[level + 1]
-        idx, _ = _kernels.nearest_site(
-            net.x[np.asarray(senders, np.int64)],
-            net.y[np.asarray(senders, np.int64)],
-            net.x[up],
-            net.y[up],
-        )
-        for k, i in enumerate(senders):
-            parents[i] = int(up[idx[k]])
-    return parents, top
+    hops = []
+    for ids, up in zip(tiers, tiers[1:] + [np.empty(0, np.int64)]):
+        promoted = np.zeros(net.n, np.bool_)
+        promoted[up] = True
+        senders = ids[~promoted[ids]]
+        dx = net.x[senders] - sx
+        dy = net.y[senders] - sy
+        tx_d2 = dx * dx + dy * dy
+        targets = np.full(senders.size, -1, np.int64)
+        if up.size:
+            idx, d2up = _kernels.nearest_site(
+                net.x[senders], net.y[senders], net.x[up], net.y[up])
+            relay = tx_d2 > direct_r2
+            targets[relay] = up[idx[relay]]
+            tx_d2[relay] = d2up[relay]
+        hops.append((senders, targets, tx_d2))
+    return hops
 
 
 # ---------------------------------------------------------------------------

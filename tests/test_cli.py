@@ -47,6 +47,17 @@ def test_run_unknown_key_is_usage_error(capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "field_m=nan", "initial_energy_j=nan", "sink_step_m=nan",
+    "camp_comm_range_m=nan", "e_mp_j=inf",
+])
+def test_run_non_finite_value_is_usage_error(override, capsys):
+    code = main(["run", "--rounds", "5", "--set", override])
+    assert code == 2
+    key = override.split("=")[0]
+    assert f"'{key}' must be finite" in capsys.readouterr().err
+
+
 def test_compare_writes_matrix_artifacts(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main([

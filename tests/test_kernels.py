@@ -43,20 +43,28 @@ def test_default_backend_env_flag():
     assert got.stdout.strip() == "python"
 
 
-@needs_both
+def elementwise_impls(name):
+    """The uncompiled loop, the vectorized fallback and, if installed, numba."""
+    impls = [getattr(_kernels, f"_{name}_loop"), _kernels.BACKENDS["python"][name]]
+    if HAVE_BOTH:
+        impls.append(_kernels.BACKENDS["numba"][name])
+    return impls
+
+
 def test_nearest_site_parity():
     rng = np.random.default_rng(40)
     for _ in range(20):
         n, k = int(rng.integers(1, 200)), int(rng.integers(1, 20))
         px, py = rng.uniform(0, 100, n), rng.uniform(0, 100, n)
         sx, sy = rng.uniform(0, 100, k), rng.uniform(0, 100, k)
-        ia, da = _kernels.BACKENDS["numba"]["nearest_site"](px, py, sx, sy)
-        ib, db = _kernels.BACKENDS["python"]["nearest_site"](px, py, sx, sy)
-        assert np.array_equal(ia, ib)
-        assert np.array_equal(da, db)  # bitwise, no tolerance
+        ref, *others = elementwise_impls("nearest_site")
+        ia, da = ref(px, py, sx, sy)
+        for impl in others:
+            ib, db = impl(px, py, sx, sy)
+            assert np.array_equal(ia, ib)
+            assert np.array_equal(da, db)  # bitwise, no tolerance
 
 
-@needs_both
 def test_election_mask_parity():
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -66,12 +74,12 @@ def test_election_mask_parity():
         rm = np.floor(rng.uniform(0, 12, n))
         elig = rng.random(n) < 0.8
         alive = rng.random(n) < 0.9
-        a = _kernels.BACKENDS["numba"]["election_mask"](u, p, rm, elig, alive)
-        b = _kernels.BACKENDS["python"]["election_mask"](u, p, rm, elig, alive)
-        assert np.array_equal(a, b)
+        ref, *others = elementwise_impls("election_mask")
+        a = ref(u, p, rm, elig, alive)
+        for impl in others:
+            assert np.array_equal(a, impl(u, p, rm, elig, alive))
 
 
-@needs_both
 def test_election_mask_epoch_end_certainty():
     # at rm where 1 - p*rm <= 0 the threshold saturates at 1: everyone fires
     n = 64

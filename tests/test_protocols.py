@@ -261,37 +261,84 @@ def test_hteen_tiers_are_nested_subsets():
         assert np.all(np.diff(upper) > 0) if len(upper) > 1 else True
 
 
+def sink_d2(net, ids, sx, sy):
+    dx = net.x[ids] - sx
+    dy = net.y[ids] - sy
+    return dx * dx + dy * dy
+
+
 def test_hteen_hierarchy_edges_connect_adjacent_tiers():
     net = small_net(seed=12)
     tiers = [np.array([1, 4, 7, 9, 15, 22]), np.array([4, 9, 22]), np.array([9])]
-    parents, top = hteen_build_hierarchy(net, tiers)
-    assert top == [9]
-    assert parents[9] == -1
-    for i in (1, 7, 15):          # tier-0 heads attach to some tier-1 head
-        assert parents[i] in {4, 9, 22}
-    for i in (4, 22):             # tier-1 heads attach to the only tier-2 head
-        assert parents[i] == 9
-    # attachment is to the geometrically nearest upper head
-    for i in (1, 7, 15):
-        ups = [4, 9, 22]
+    hops = hteen_build_hierarchy(net, tiers, 50.0, 100.0, -np.inf)
+    assert len(hops) == 3
+    (s0, t0, d0), (s1, t1, d1), (s2, t2, d2) = hops
+    assert s0.tolist() == [1, 7, 15]          # promoted heads do not send
+    assert set(t0.tolist()) <= {4, 9, 22}     # tier-0 heads attach to tier 1
+    assert t1.tolist() == [9, 9]              # tier-1 heads attach to tier 2
+    assert s1.tolist() == [4, 22]
+    assert s2.tolist() == [9] and t2.tolist() == [-1]
+    assert d2[0] == sink_d2(net, 9, 50.0, 100.0)
+    # attachment is to the geometrically nearest upper head, charged at
+    # that head's distance
+    ups = [4, 9, 22]
+    for k, i in enumerate(s0.tolist()):
         d2 = [(net.x[i] - net.x[u]) ** 2 + (net.y[i] - net.y[u]) ** 2 for u in ups]
-        assert parents[i] == ups[int(np.argmin(d2))]
+        assert t0[k] == ups[int(np.argmin(d2))]
+        assert d0[k] == pytest.approx(min(d2), rel=1e-12)
+    for k, i in enumerate(s1.tolist()):
+        assert d1[k] == pytest.approx(
+            (net.x[i] - net.x[9]) ** 2 + (net.y[i] - net.y[9]) ** 2, rel=1e-12)
 
 
 def test_hteen_empty_upper_tier_reports_to_sink():
     net = small_net(seed=12)
     tiers = [np.array([1, 4, 7]), np.array([], dtype=np.int64)]
-    parents, top = hteen_build_hierarchy(net, tiers)
-    assert parents == {1: -1, 4: -1, 7: -1}
-    assert sorted(top) == [1, 4, 7]
+    (s0, t0, d0), (s1, t1, d1) = hteen_build_hierarchy(net, tiers, 50.0, 50.0, -np.inf)
+    assert s0.tolist() == [1, 4, 7]
+    assert t0.tolist() == [-1, -1, -1]
+    assert np.array_equal(d0, sink_d2(net, s0, 50.0, 50.0))
+    assert s1.size == t1.size == d1.size == 0
 
 
 def test_hteen_single_layer_is_flat():
     net = small_net(seed=12)
     tiers = [np.array([2, 5])]
-    parents, top = hteen_build_hierarchy(net, tiers)
-    assert parents == {2: -1, 5: -1}
-    assert sorted(top) == [2, 5]
+    [(s0, t0, _)] = hteen_build_hierarchy(net, tiers, 50.0, 100.0, -np.inf)
+    assert s0.tolist() == [2, 5]
+    assert t0.tolist() == [-1, -1]
+
+
+def test_hteen_direct_range_short_circuits_interior_head():
+    net = small_net(seed=12)
+    tiers = [np.array([1, 4, 7, 9, 15, 22]), np.array([4, 9, 22]), np.array([9])]
+    sx, sy = 30.0, 100.0
+    walked = hteen_build_hierarchy(net, tiers, sx, sy, -np.inf)
+    interior = np.array([1, 7, 15, 4, 22])
+    d2s = sink_d2(net, interior, sx, sy)
+    near = int(interior[np.argmin(d2s)])
+    hops = hteen_build_hierarchy(net, tiers, sx, sy, float(d2s.min()))
+    for (s, t, d), (_, t_ref, d_ref) in zip(hops, walked):
+        for k, i in enumerate(s.tolist()):
+            if i == near:
+                assert t[k] == -1
+                assert d[k] == sink_d2(net, i, sx, sy)
+            else:
+                assert t[k] == t_ref[k]
+                assert d[k] == d_ref[k]
+    assert sum(int(np.count_nonzero(t == -1)) for _, t, _ in hops) == 2
+
+
+def test_hteen_flat_tier_targets_sink_at_sink_distance():
+    net = small_net(seed=12)
+    tracker = EpochTracker(net.n, 0.1)
+    ch_ids = leach_elect_chs(net, 0.1, tracker, 0, np.random.default_rng(4).random(net.n))
+    assert ch_ids.size > 1
+    for direct_r2 in (-np.inf, 0.0, 1e9):
+        [(s, t, d)] = hteen_build_hierarchy(net, [ch_ids], 50.0, 100.0, direct_r2)
+        assert np.array_equal(s, ch_ids)
+        assert np.all(t == -1)
+        assert np.array_equal(d, sink_d2(net, ch_ids, 50.0, 100.0))
 
 
 # --- CAMP-TEEN ------------------------------------------------------------
