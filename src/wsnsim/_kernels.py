@@ -2,10 +2,12 @@
 
 Two implementations are kept for every kernel: a compiled one (numba
 ``@njit``) and a plain NumPy/Python one.  The elementwise kernels
-(``nearest_site``, ``election_mask``) fall back to vectorized NumPy; the
-inherently sequential ones (charging phases, greedy cover) fall back to
-the identical loop without compilation.  Both backends perform the same
-arithmetic in the same order, so results are bit-identical either way.
+(``nearest_site``, ``election_mask``) and the greedy cover fall back to
+vectorized NumPy; only the charging phases (``member_phase``,
+``relay_phase``), whose every step depends on the residuals left by the
+previous one, fall back to the identical loop without compilation.  Both
+backends perform the same arithmetic in the same order, so results are
+bit-identical either way.
 
 Backend selection: the compiled path is the default when numba imports;
 set ``WSNSIM_DISABLE_NUMBA=1`` to force the fallback, or call
@@ -35,7 +37,7 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 # ---------------------------------------------------------------------------
 # loop implementations (compiled under numba, also used as python fallback
-# for the sequential kernels)
+# for the charging phases)
 # ---------------------------------------------------------------------------
 
 def _nearest_site_loop(px, py, sx, sy):
@@ -193,7 +195,7 @@ def _greedy_cover_loop(order, x, y, dead, range2):
 
 
 # ---------------------------------------------------------------------------
-# vectorized fallbacks for the elementwise kernels
+# vectorized fallbacks for the elementwise kernels and the greedy cover
 # ---------------------------------------------------------------------------
 
 def _nearest_site_np(px, py, sx, sy):
@@ -212,12 +214,38 @@ def _election_mask_np(u, p, rm, eligible, alive):
     return eligible & alive & (u < t)
 
 
+def _greedy_cover_np(order, x, y, dead, range2):
+    # Same cover as the loop, one step per elected head instead of per node:
+    # the next head is the first node of `order` still alive and uncovered,
+    # and its squared distances are the loop's expression, so the range
+    # test selects the same nodes bit for bit.  The head is taken even if
+    # its own d2 fails the test (range2 < 0), so every step shrinks `free`
+    # and the loop ends.  Memory stays O(N): no distance matrix is built.
+    ch_of = np.full(x.shape[0], -1, np.int64)
+    free = ~dead
+    t = 0
+    while t < order.shape[0]:
+        rest = free[order[t:]]
+        k = int(np.argmax(rest))
+        if not rest[k]:
+            break
+        t += k
+        i = order[t]
+        dx = x[i] - x
+        dy = y[i] - y
+        take = free & (dx * dx + dy * dy <= range2)
+        take[i] = True
+        ch_of[take] = i
+        free &= ~take
+    return ch_of
+
+
 _PY_IMPL = {
     "nearest_site": _nearest_site_np,
     "election_mask": _election_mask_np,
     "member_phase": _member_phase_loop,
     "relay_phase": _relay_phase_loop,
-    "greedy_cover": _greedy_cover_loop,
+    "greedy_cover": _greedy_cover_np,
 }
 
 if HAVE_NUMBA:

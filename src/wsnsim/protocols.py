@@ -345,21 +345,14 @@ def hteen_build_hierarchy(
 # CAMP-TEEN
 # ---------------------------------------------------------------------------
 
-def campteen_timer(e_norm: float, k_const: float, alpha: float) -> float:
-    """Back-off timer k/E - alpha; richer nodes fire earlier."""
-    if e_norm <= 0.0:
-        raise ValueError("e_norm must be positive")
-    if k_const <= 0.0:
-        raise ValueError("k_const must be positive")
-    return k_const / e_norm - alpha
-
-
 def campteen_elect_chs(
     net: NetworkState, cfg: ProtocolConfig, alpha: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Timer-ordered greedy cover of the range graph.
 
-    Nodes fire by ascending timer (ties by id); a node out of range of
+    Each alive node's back-off timer is timer_k / E - alpha, with E its
+    residual over its initial energy, so richer nodes fire earlier.  Nodes
+    fire by ascending timer (ties by id); a node out of range of
     every elected head becomes one and captures its uncovered neighbours.
     Returns (head ids ascending, ch_of array with -1 for dead nodes).
     """

@@ -43,8 +43,9 @@ def test_default_backend_env_flag():
     assert got.stdout.strip() == "python"
 
 
-def elementwise_impls(name):
-    """The uncompiled loop, the vectorized fallback and, if installed, numba."""
+def kernel_impls(name):
+    """The uncompiled loop (the reference), the numpy fallback and, if
+    installed, numba's compiled kernel."""
     impls = [getattr(_kernels, f"_{name}_loop"), _kernels.BACKENDS["python"][name]]
     if HAVE_BOTH:
         impls.append(_kernels.BACKENDS["numba"][name])
@@ -57,7 +58,7 @@ def test_nearest_site_parity():
         n, k = int(rng.integers(1, 200)), int(rng.integers(1, 20))
         px, py = rng.uniform(0, 100, n), rng.uniform(0, 100, n)
         sx, sy = rng.uniform(0, 100, k), rng.uniform(0, 100, k)
-        ref, *others = elementwise_impls("nearest_site")
+        ref, *others = kernel_impls("nearest_site")
         ia, da = ref(px, py, sx, sy)
         for impl in others:
             ib, db = impl(px, py, sx, sy)
@@ -74,7 +75,7 @@ def test_election_mask_parity():
         rm = np.floor(rng.uniform(0, 12, n))
         elig = rng.random(n) < 0.8
         alive = rng.random(n) < 0.9
-        ref, *others = elementwise_impls("election_mask")
+        ref, *others = kernel_impls("election_mask")
         a = ref(u, p, rm, elig, alive)
         for impl in others:
             assert np.array_equal(a, impl(u, p, rm, elig, alive))
@@ -89,6 +90,40 @@ def test_election_mask_epoch_end_certainty():
     flags = np.ones(n, np.bool_)
     for impl in _kernels.BACKENDS.values():
         assert np.all(impl["election_mask"](u, p, rm, flags, flags))
+
+
+def cover_instances(rng):
+    """Seeded cover inputs: dead nodes (left in the order or dropped from
+    it, as the election does), empty orders, timer ties (a stable argsort
+    over few distinct values), duplicated coordinates, negative and zero
+    ranges, a range met exactly and a range wider than the field."""
+    for trial in range(60):
+        n = int(rng.integers(1, 150))
+        if trial % 3 == 0:  # coarse grid: many coincident points
+            x = rng.integers(0, 5, n) * 20.0
+            y = rng.integers(0, 5, n) * 20.0
+        else:
+            x, y = rng.uniform(0, 100, n), rng.uniform(0, 100, n)
+        dead = rng.random(n) < rng.choice((0.0, 0.3, 0.95))
+        timer = np.floor(rng.uniform(0, 4, n))  # few distinct values: ties
+        order = np.argsort(timer, kind="stable").astype(np.int64)
+        if trial % 5 == 0:
+            order = order[:0]
+        elif trial % 2:
+            order = order[~dead[order]]
+        # 400 is the grid step squared (on the boundary); -1 makes every
+        # node of the order a head of its own
+        for range2 in (-1.0, 0.0, 400.0, 625.0, 1e6):
+            yield order, x, y, dead, range2
+
+
+def test_greedy_cover_parity():
+    rng = np.random.default_rng(43)
+    ref, *others = kernel_impls("greedy_cover")
+    for order, x, y, dead, range2 in cover_instances(rng):
+        a = ref(order, x, y, dead, range2)
+        for impl in others:
+            assert np.array_equal(a, impl(order, x, y, dead, range2))
 
 
 @needs_both

@@ -10,13 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from wsnsim import _kernels
 from wsnsim import (
     DeecEligibility,
     EpochTracker,
     ProtocolConfig,
     ProtocolKind,
     campteen_elect_chs,
-    campteen_timer,
     deec_average_energy,
     deec_elect_chs,
     deec_lifetime_estimate,
@@ -343,11 +343,49 @@ def test_hteen_flat_tier_targets_sink_at_sink_distance():
 
 # --- CAMP-TEEN ------------------------------------------------------------
 
+def campteen_timer(e_norm: float, k_const: float, alpha: float) -> float:
+    """Back-off timer k/E - alpha of one node; richer nodes fire earlier.
+
+    The per-node oracle for the vectorized timer in `campteen_elect_chs`.
+    """
+    if e_norm <= 0.0:
+        raise ValueError("e_norm must be positive")
+    if k_const <= 0.0:
+        raise ValueError("k_const must be positive")
+    return k_const / e_norm - alpha
+
+
 def test_campteen_timer_frozen():
     assert campteen_timer(0.5, 1.0, 0.25) == 1.75
     assert campteen_timer(1.0, 2.0, 0.0) == 2.0
     with pytest.raises(ValueError):
         campteen_timer(0.0, 1.0, 0.1)
+
+
+def test_campteen_fires_in_oracle_timer_order(monkeypatch):
+    # the order handed to the cover is the alive nodes sorted by the
+    # oracle's timer, ties by id; dead nodes never fire
+    real, orders = _kernels.greedy_cover, []
+
+    def spy(order, *args):
+        orders.append(order.copy())
+        return real(order, *args)
+
+    monkeypatch.setattr(_kernels, "greedy_cover", spy)
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        cfg = ProtocolConfig(timer_k=(1.0, 2.5)[trial % 2])
+        net = deploy(int(rng.integers(2, 60)), 100.0, 0.5, rng)
+        if trial % 4 < 2:  # few energy levels and no alpha: timer ties
+            levels, alpha = rng.choice([0.1, 0.25, 0.5], net.n), np.zeros(net.n)
+        else:
+            levels, alpha = rng.uniform(1e-6, 0.5, net.n), rng.random(net.n)
+        net.residual[:] = np.where(rng.random(net.n) < 0.3, 0.0, levels)
+        campteen_elect_chs(net, cfg, alpha)
+        alive = [i for i in range(net.n) if net.residual[i] > 0.0]
+        timer = {i: campteen_timer(net.residual[i] / net.initial_energy[i],
+                                   cfg.timer_k, alpha[i]) for i in alive}
+        assert orders.pop().tolist() == sorted(alive, key=lambda i: (timer[i], i))
 
 
 def test_campteen_heads_form_maximal_independent_set():
