@@ -198,12 +198,34 @@ def _greedy_cover_loop(order, x, y, dead, range2):
 # vectorized fallbacks for the elementwise kernels and the greedy cover
 # ---------------------------------------------------------------------------
 
-def _nearest_site_np(px, py, sx, sy):
+# Most entries of a point-by-site distance block in `_nearest_site_np`:
+# 64 KB per float64 temporary, well under malloc's 128 KB mmap threshold.
+_NEAREST_BLOCK = 8192
+
+
+def _nearest_rows(px, py, sx, sy):
     dx = px[:, None] - sx[None, :]
     dy = py[:, None] - sy[None, :]
     d2 = dx * dx + dy * dy
     idx = np.argmin(d2, axis=1).astype(np.int64)
     return idx, d2[np.arange(px.shape[0]), idx]
+
+
+def _nearest_site_np(px, py, sx, sy):
+    # Points are taken in blocks of rows, so no temporary holds the whole
+    # N x k table: at 1000 nodes and 100 heads each of the five would be
+    # 800 KB, and every call page-faulted ~3 MB of fresh memory in.  Each
+    # row's argmin is the same in a block, so the result is bit-identical.
+    n = px.shape[0]
+    rows = max(1, _NEAREST_BLOCK // max(sx.shape[0], 1))
+    if n <= rows:
+        return _nearest_rows(px, py, sx, sy)
+    idx = np.empty(n, np.int64)
+    d2min = np.empty(n, np.float64)
+    for a in range(0, n, rows):
+        b = a + rows
+        idx[a:b], d2min[a:b] = _nearest_rows(px[a:b], py[a:b], sx, sy)
+    return idx, d2min
 
 
 def _election_mask_np(u, p, rm, eligible, alive):

@@ -66,6 +66,25 @@ def test_nearest_site_parity():
             assert np.array_equal(da, db)  # bitwise, no tolerance
 
 
+def test_nearest_site_parity_across_row_blocks():
+    # Tables larger than one block of the numpy fallback, on an integer
+    # grid so that equal distances (first site wins) occur at block edges.
+    rng = np.random.default_rng(42)
+    block = _kernels._NEAREST_BLOCK
+    for n, k in ((1000, 100), (1000, 9), (5, block + 3), (3 * block // 64 + 1, 64)):
+        px = rng.integers(0, 30, n).astype(np.float64)
+        py = rng.integers(0, 30, n).astype(np.float64)
+        sx = rng.integers(0, 30, k).astype(np.float64)
+        sy = rng.integers(0, 30, k).astype(np.float64)
+        ref, *others = kernel_impls("nearest_site")
+        ia, da = ref(px, py, sx, sy)
+        for impl in others:
+            ib, db = impl(px, py, sx, sy)
+            assert ib.dtype == np.int64
+            assert np.array_equal(ia, ib)
+            assert np.array_equal(da, db)
+
+
 def test_election_mask_parity():
     rng = np.random.default_rng(41)
     for _ in range(20):
