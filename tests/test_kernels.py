@@ -52,37 +52,29 @@ def kernel_impls(name):
     return impls
 
 
-def test_nearest_site_parity():
-    rng = np.random.default_rng(40)
+def nearest_instances(rng):
+    """Random tables, then tables larger than one row block of the numpy
+    fallback on an integer grid, so that equal distances (the first site
+    wins) fall at block edges."""
     for _ in range(20):
         n, k = int(rng.integers(1, 200)), int(rng.integers(1, 20))
-        px, py = rng.uniform(0, 100, n), rng.uniform(0, 100, n)
-        sx, sy = rng.uniform(0, 100, k), rng.uniform(0, 100, k)
-        ref, *others = kernel_impls("nearest_site")
-        ia, da = ref(px, py, sx, sy)
-        for impl in others:
-            ib, db = impl(px, py, sx, sy)
-            assert np.array_equal(ia, ib)
-            assert np.array_equal(da, db)  # bitwise, no tolerance
-
-
-def test_nearest_site_parity_across_row_blocks():
-    # Tables larger than one block of the numpy fallback, on an integer
-    # grid so that equal distances (first site wins) occur at block edges.
-    rng = np.random.default_rng(42)
+        yield (rng.uniform(0, 100, n), rng.uniform(0, 100, n),
+               rng.uniform(0, 100, k), rng.uniform(0, 100, k))
     block = _kernels._NEAREST_BLOCK
     for n, k in ((1000, 100), (1000, 9), (5, block + 3), (3 * block // 64 + 1, 64)):
-        px = rng.integers(0, 30, n).astype(np.float64)
-        py = rng.integers(0, 30, n).astype(np.float64)
-        sx = rng.integers(0, 30, k).astype(np.float64)
-        sy = rng.integers(0, 30, k).astype(np.float64)
-        ref, *others = kernel_impls("nearest_site")
+        yield tuple(rng.integers(0, 30, m).astype(np.float64) for m in (n, n, k, k))
+
+
+def test_nearest_site_parity():
+    rng = np.random.default_rng(40)
+    ref, *others = kernel_impls("nearest_site")
+    for px, py, sx, sy in nearest_instances(rng):
         ia, da = ref(px, py, sx, sy)
         for impl in others:
             ib, db = impl(px, py, sx, sy)
             assert ib.dtype == np.int64
             assert np.array_equal(ia, ib)
-            assert np.array_equal(da, db)
+            assert np.array_equal(da, db)  # bitwise, no tolerance
 
 
 def test_election_mask_parity():
