@@ -1,13 +1,15 @@
 """Hot per-round kernels with selectable backends.
 
 Two implementations are kept for every kernel: a compiled one (numba
-``@njit``) and a plain NumPy/Python one.  The elementwise kernels
-(``nearest_site``, ``election_mask``) and the greedy cover fall back to
-vectorized NumPy; only the charging phases (``member_phase``,
-``relay_phase``), whose every step depends on the residuals left by the
-previous one, fall back to the identical loop without compilation.  Both
-backends perform the same arithmetic in the same order, so results are
-bit-identical either way.
+``@njit``) and a plain NumPy one.  The compiled one is the loop written
+out below, which also serves as the reference.  The NumPy fallbacks
+vectorize every kernel, the charging phases (``member_phase``,
+``relay_phase``) included: within one call the engine never lets a node
+both send and receive, so each sender's charge depends only on its own
+residual and each receiver's charges are a run of equal reception costs.
+Inputs outside that contract, and calls too small to repay numpy's
+per-call cost, take the loop.  Both backends perform the same arithmetic
+in the same order, so results are bit-identical either way.
 
 Backend selection: the compiled path is the default when numba imports;
 set ``WSNSIM_DISABLE_NUMBA=1`` to force the fallback, or call
@@ -36,8 +38,8 @@ except ImportError:  # pragma: no cover - exercised only without numba
 
 
 # ---------------------------------------------------------------------------
-# loop implementations (compiled under numba, also used as python fallback
-# for the charging phases)
+# loop implementations (compiled under numba; the reference for the
+# vectorized fallbacks below)
 # ---------------------------------------------------------------------------
 
 def _nearest_site_loop(px, py, sx, sy):
@@ -83,7 +85,6 @@ def _member_phase_loop(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d
     n = gate.shape[0]
     received = np.zeros(n, np.int64)
     to_ch = 0
-    spent = 0.0
     for i in range(n):
         if not gate[i]:
             continue
@@ -100,23 +101,19 @@ def _member_phase_loop(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d
             cost = e_elec_b + e_mp_b * d2 * d2
         if r >= cost:
             residual[i] = r - cost
-            spent += cost
         else:
             residual[i] = 0.0
-            spent += r
             continue
         rj = residual[j]
         if rj <= 0.0:
             continue
         if rj >= e_elec_b:
             residual[j] = rj - e_elec_b
-            spent += e_elec_b
             received[j] += 1
             to_ch += 1
         else:
             residual[j] = 0.0
-            spent += rj
-    return received, to_ch, spent
+    return received, to_ch
 
 
 def _relay_phase_loop(order, signals, residual, tx_d2, target,
@@ -126,7 +123,6 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
     # reception and inherits the packet as one more signal.
     to_bs = 0
     to_ch = 0
-    spent = 0.0
     for t in range(order.shape[0]):
         i = order[t]
         if residual[i] <= 0.0:
@@ -138,10 +134,8 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
         r = residual[i]
         if r < c_agg:
             residual[i] = 0.0
-            spent += r
             continue
         residual[i] = r - c_agg
-        spent += c_agg
         d2 = tx_d2[t]
         if d2 < d0sq:
             c_tx = e_elec_b + e_fs_b * d2
@@ -150,10 +144,8 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
         r = residual[i]
         if r < c_tx:
             residual[i] = 0.0
-            spent += r
             continue
         residual[i] = r - c_tx
-        spent += c_tx
         j = target[t]
         if j < 0:
             to_bs += 1
@@ -163,13 +155,11 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
                 continue
             if rj >= e_elec_b:
                 residual[j] = rj - e_elec_b
-                spent += e_elec_b
                 signals[j] += 1
                 to_ch += 1
             else:
                 residual[j] = 0.0
-                spent += rj
-    return to_bs, to_ch, spent
+    return to_bs, to_ch
 
 
 def _greedy_cover_loop(order, x, y, dead, range2):
@@ -195,7 +185,7 @@ def _greedy_cover_loop(order, x, y, dead, range2):
 
 
 # ---------------------------------------------------------------------------
-# vectorized fallbacks for the elementwise kernels and the greedy cover
+# vectorized fallbacks
 # ---------------------------------------------------------------------------
 
 # Most entries of a point-by-site distance block in `_nearest_site_np`:
@@ -262,11 +252,97 @@ def _greedy_cover_np(order, x, y, dead, range2):
     return ch_of
 
 
+# Gated nodes (member phase) or tier senders (relay phase) below which the
+# charging phases take the loop: its cost grows with each sender, while
+# the vectorized path pays a fixed toll of a few dozen numpy calls, which
+# small tiers and sparsely gated rounds never earn back.
+_LOOP_BELOW = 16
+
+
+def _pay_tx(r, d2, e_elec_b, e_fs_b, e_mp_b, d0sq):
+    # Each sender's transmission on its own residual, with the loop's
+    # expressions: (delivered, residual afterwards).  A sender that cannot
+    # pay ends at 0.0 and its packet is lost.
+    cost = e_elec_b + np.where(d2 < d0sq, e_fs_b * d2, e_mp_b * d2 * d2)
+    ok = r >= cost
+    return ok, np.where(ok, r - cost, 0.0)
+
+
+def _receive(residual, dest, count, e_elec_b):
+    # Charge reception for packets delivered to heads `dest` (ids >= 0) and
+    # add each head's receptions to `count`; returns the total received.
+    # A head's charges are a run of equal subtractions, so only its number
+    # of packets matters, and a row [r, e, e, ...] accumulated left to right
+    # (sequentially, like the loop) holds its residual before each packet.
+    # The run is non-increasing, so the packets it can pay are the entries
+    # >= e, capped at the number sent; a head that runs short ends at 0.0
+    # and one already at <= 0 is left untouched.
+    if dest.size == 0:
+        return 0
+    per = np.bincount(dest, minlength=residual.shape[0])
+    heads = per.nonzero()[0]
+    heads = heads[residual[heads] > 0.0]
+    if heads.size == 0:
+        return 0
+    sent = per[heads]
+    most = int(sent.max())
+    run = np.full((heads.size, most + 1), e_elec_b)
+    run[:, 0] = residual[heads]
+    np.subtract.accumulate(run, axis=1, out=run)
+    got = np.minimum(np.add.reduce(run[:, :most] >= e_elec_b, axis=1), sent)
+    residual[heads] = np.where(got == sent, run[np.arange(heads.size), sent], 0.0)
+    count[heads] += got
+    return int(np.add.reduce(got))
+
+
+def _member_phase_np(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d0sq):
+    # Exact when no sender is also a head, as the engine guarantees (heads
+    # have assign -1): every sender then pays from its own residual alone.
+    # Any other input takes the loop.
+    args = (gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d0sq)
+    if np.count_nonzero(gate) < _LOOP_BELOW:
+        return _member_phase_loop(*args)
+    sends = gate & (assign >= 0) & (residual > 0.0)
+    snd = sends.nonzero()[0]
+    dest = assign[snd]
+    if np.count_nonzero(sends[dest]):
+        return _member_phase_loop(*args)
+    received = np.zeros(gate.shape[0], np.int64)
+    ok, left = _pay_tx(residual[snd], d2ch[snd], e_elec_b, e_fs_b, e_mp_b, d0sq)
+    residual[snd] = left
+    return received, _receive(residual, dest[ok], received, e_elec_b)
+
+
+def _relay_phase_np(order, signals, residual, tx_d2, target,
+                    e_elec_b, e_fs_b, e_mp_b, e_da_b, d0sq):
+    # Exact when `order` holds each sender once and no target is a sender,
+    # as one tier of the engine's hierarchy guarantees; any other input
+    # takes the loop.  Aggregation and transmission are charged as two
+    # steps, like the loop; a sender with no signal or no charge is skipped.
+    args = (order, signals, residual, tx_d2, target, e_elec_b, e_fs_b, e_mp_b, e_da_b, d0sq)
+    if order.shape[0] < _LOOP_BELOW:
+        return _relay_phase_loop(*args)
+    seen = np.zeros(residual.shape[0], np.bool_)
+    seen[order] = True
+    if np.count_nonzero(seen) < order.shape[0] or np.count_nonzero(seen[target[target >= 0]]):
+        return _relay_phase_loop(*args)
+    s = signals[order]
+    r = residual[order]
+    act = (r > 0.0) & (s != 0)
+    c_agg = e_da_b * s
+    ok, left = _pay_tx(r - c_agg, tx_d2, e_elec_b, e_fs_b, e_mp_b, d0sq)
+    sent = act & (r >= c_agg) & ok
+    residual[order] = np.where(sent, left, np.where(act, 0.0, r))
+    dest = target[sent]
+    up = dest >= 0
+    return int(dest.size - np.count_nonzero(up)), _receive(residual, dest[up], signals, e_elec_b)
+
+
 _PY_IMPL = {
     "nearest_site": _nearest_site_np,
     "election_mask": _election_mask_np,
-    "member_phase": _member_phase_loop,
-    "relay_phase": _relay_phase_loop,
+    "member_phase": _member_phase_np,
+    "relay_phase": _relay_phase_np,
     "greedy_cover": _greedy_cover_np,
 }
 

@@ -141,7 +141,7 @@ class Engine:
         else:
             gate = alive0.copy()
 
-        signals, to_ch, _spent = _kernels.member_phase(
+        signals, to_ch = _kernels.member_phase(
             gate, assign, d2ch, net.residual,
             self._e_elec_b, self._e_fs_b, self._e_mp_b, self._d0sq,
         )
@@ -163,7 +163,7 @@ class Engine:
                      if sinkst.mode == SinkMode.MOBILE_TOP else -np.inf)
         to_bs = 0
         for senders, target, tx_d2 in hteen_build_hierarchy(net, tiers, sx, sy, direct_r2):
-            b, c, _s = _kernels.relay_phase(
+            b, c = _kernels.relay_phase(
                 senders, signals, net.residual, tx_d2, target,
                 self._e_elec_b, self._e_fs_b, self._e_mp_b, self._e_da_b, self._d0sq,
             )

@@ -137,27 +137,158 @@ def test_greedy_cover_parity():
             assert np.array_equal(a, impl(order, x, y, dead, range2))
 
 
-@needs_both
-def test_member_phase_parity_with_deaths():
-    rng = np.random.default_rng(42)
+# Per-packet radio constants: the engine's defaults for a 4000-bit packet,
+# then powers of two, under which a head's run of reception charges is
+# exact, so a residual that is a multiple of e_elec_b lands on 0.0 and a
+# head can sit exactly at e_elec_b before its last packet.
+RADIO = ((2e-4, 4e-8, 5.2e-12, 2e-5, 7692.3),
+         (2.0**-12, 2.0**-30, 2.0**-40, 2.0**-14, 4096.0))
+
+
+def tx_cost(d2, e_elec_b, e_fs_b, e_mp_b, d0sq):
+    return np.where(d2 < d0sq, e_elec_b + e_fs_b * d2, e_elec_b + e_mp_b * d2 * d2)
+
+
+def charge_heads(rng, resid, heads, e_elec_b):
+    """Head residuals: exact multiples of e_elec_b, dying on the k-th
+    reception, already dead, or with plenty to spare."""
+    k = rng.integers(0, 6, heads.size)
+    kind = rng.integers(0, 4, heads.size)
+    resid[heads] = np.select([kind == 0, kind == 1, kind == 2],
+                             [k * e_elec_b, (k + 0.5) * e_elec_b, 0.0], 1.0)
+
+
+def member_instances(rng):
+    """Engine-shaped member inputs (heads never send), each followed by an
+    off-contract copy in which some heads send, then fully random inputs
+    with self-addressed packets."""
+    for trial in range(40):
+        e_elec_b, e_fs_b, e_mp_b, _, d0sq = RADIO[trial % 2]
+        n = int(rng.integers(1, 150))
+        heads = np.flatnonzero(rng.random(n) < rng.choice((0.02, 0.15, 0.5)))
+        if heads.size == 0:
+            heads = np.array([0])
+        assign = rng.choice(heads, n).astype(np.int64)
+        assign[heads] = -1
+        assign[rng.random(n) < 0.1] = -1  # dead or unassigned
+        gate = rng.random(n) < 0.7
+        d2ch = rng.uniform(0, 2 * d0sq, n)
+        d2ch[rng.random(n) < 0.1] = d0sq
+        cost = tx_cost(d2ch, e_elec_b, e_fs_b, e_mp_b, d0sq)
+        resid = rng.uniform(0, 2 * cost)  # about half the senders die
+        exact = rng.random(n) < 0.1
+        resid[exact] = cost[exact]  # exactly enough to send
+        resid[rng.random(n) < 0.05] = 0.0
+        charge_heads(rng, resid, heads, e_elec_b)
+        if trial % 9 == 0:
+            gate[:] = False
+        radio = (e_elec_b, e_fs_b, e_mp_b, d0sq)
+        yield (gate, assign, d2ch, resid) + radio
+        off = assign.copy()
+        off[heads] = rng.choice(heads, heads.size)  # heads send, some to themselves
+        gate[heads] = True
+        yield (gate, off, d2ch, resid) + radio
     for _ in range(10):
         n = 120
         gate = rng.random(n) < 0.7
-        assign = rng.integers(-1, n, n)
+        assign = rng.integers(-1, n, n).astype(np.int64)
         d2ch = rng.uniform(0, 12000, n)
         resid = rng.uniform(0.0, 2e-3, n)  # low charge: force mid-phase deaths
-        args = (gate, assign.astype(np.int64), d2ch, None, 2e-4, 4e-8, 5.2e-12, 7692.3)
-        outs = []
-        for name in ("numba", "python"):
-            r = resid.copy()
-            a = list(args)
-            a[3] = r
-            rec, to_ch, spent = _kernels.BACKENDS[name]["member_phase"](*a)
-            outs.append((rec.copy(), to_ch, spent, r))
-        assert np.array_equal(outs[0][0], outs[1][0])
-        assert outs[0][1] == outs[1][1]
-        assert outs[0][2] == outs[1][2]
-        assert np.array_equal(outs[0][3], outs[1][3])  # residuals bit-equal
+        yield gate, assign, d2ch, resid, 2e-4, 4e-8, 5.2e-12, 7692.3
+
+
+def test_member_phase_parity_with_deaths():
+    rng = np.random.default_rng(42)
+    ref, *others = kernel_impls("member_phase")
+    for gate, assign, d2ch, resid, *radio in member_instances(rng):
+        r = resid.copy()
+        rec, to_ch = ref(gate, assign, d2ch, r, *radio)
+        for impl in others:
+            r2 = resid.copy()
+            rec2, to_ch2 = impl(gate, assign, d2ch, r2, *radio)
+            assert np.array_equal(rec, rec2)
+            assert to_ch == to_ch2 and type(to_ch2) is int
+            assert r.tobytes() == r2.tobytes()  # residuals bit-equal
+
+
+def relay_instances(rng):
+    """One engine-shaped tier per case (distinct senders in ascending id
+    order, next-tier targets outside it, -1 for the sink), each followed by
+    off-contract copies: a target inside the order, and repeated senders."""
+    for trial in range(60):
+        e_elec_b, e_fs_b, e_mp_b, e_da_b, d0sq = RADIO[trial % 2]
+        n = int(rng.integers(2, 150))
+        perm = rng.permutation(n)
+        a = int(rng.integers(0, n))
+        b = int(rng.integers(a, n + 1))
+        order = np.sort(perm[:a]).astype(np.int64)
+        upper = perm[a:b]
+        if trial % 10 == 0:
+            order = order[:0]
+        target = np.full(order.size, -1, np.int64)
+        if upper.size and trial % 7:  # every seventh tier reports to the sink only
+            up = rng.random(order.size) < 0.8
+            target[up] = rng.choice(upper, int(np.count_nonzero(up)))
+        signals = rng.integers(0, 5, n).astype(np.int64)
+        signals[rng.random(n) < 0.1] = 0
+        if trial % 11 == 0:
+            signals[:] = 0
+        tx_d2 = rng.uniform(0, 2 * d0sq, order.size)
+        tx_d2[rng.random(order.size) < 0.1] = d0sq
+        c_agg = e_da_b * signals[order]
+        c_tx = tx_cost(tx_d2, e_elec_b, e_fs_b, e_mp_b, d0sq)
+        resid = rng.uniform(0, 1.0, n)
+        pick = rng.integers(0, 5, order.size)
+        resid[order] = np.select(
+            [pick == 0, pick == 1, pick == 2, pick == 3],
+            [c_agg, c_agg + c_tx, rng.uniform(0, 2, order.size) * (c_agg + c_tx), 0.0],
+            1.0)
+        charge_heads(rng, resid, upper, e_elec_b)
+        radio = (e_elec_b, e_fs_b, e_mp_b, e_da_b, d0sq)
+        yield (order, signals, resid, tx_d2, target) + radio
+        if order.size >= 2:
+            inner = target.copy()
+            inner[0] = order[-1]
+            yield (order, signals, resid, tx_d2, inner) + radio
+            twice = np.concatenate([order, order[:2]])
+            yield (twice, signals, resid, np.concatenate([tx_d2, tx_d2[:2]]),
+                   np.concatenate([target, target[:2]])) + radio
+
+
+def test_relay_phase_parity():
+    rng = np.random.default_rng(44)
+    ref, *others = kernel_impls("relay_phase")
+    for order, signals, resid, tx_d2, target, *radio in relay_instances(rng):
+        s, r = signals.copy(), resid.copy()
+        out = ref(order, s, r, tx_d2, target, *radio)
+        for impl in others:
+            s2, r2 = signals.copy(), resid.copy()
+            got = impl(order, s2, r2, tx_d2, target, *radio)
+            assert got == out and all(type(v) is int for v in got)
+            assert np.array_equal(s, s2)
+            assert r.tobytes() == r2.tobytes()  # residuals bit-equal
+
+
+PROTOCOLS = ("leach", "teen", "deec", "hteen", "campteen")
+SINKS = ("static_center", "static_top", "mobile_top")
+
+
+def test_full_run_parity_loop_charging(monkeypatch):
+    # The vectorized charging phases against their uncompiled loops over
+    # whole runs in which nodes die (CAMP-TEEN's hard threshold lowered so
+    # that its nodes report): every history row and the final residuals.
+    use_backend("python")
+    cfg = ScenarioConfig(nodes=200, rounds=300, initial_energy_j=0.02,
+                         camp_hard_threshold=100.0)
+    vec = {(p, k): run_scenario(cfg, p, k, 7) for p in PROTOCOLS for k in SINKS}
+    monkeypatch.setattr(_kernels, "member_phase", _kernels._member_phase_loop)
+    monkeypatch.setattr(_kernels, "relay_phase", _kernels._relay_phase_loop)
+    for (proto, sink), a in vec.items():
+        b = run_scenario(cfg, proto, sink, 7)
+        for i in range(cfg.rounds):
+            assert a.history.row(i) == b.history.row(i), f"{proto} {sink} round {i}"
+        assert a.network.residual.tobytes() == b.network.residual.tobytes()
+    assert all(r.history.dead[-1] > 0 for r in vec.values())
 
 
 @needs_both
