@@ -2,11 +2,15 @@
 
 Each run gets its own generator seeded from (seed, protocol, sink mode),
 so runs never share or reorder random draws and any single combination
-can be reproduced in isolation.
+can be reproduced in isolation.  That also lets `run_matrix` hand its
+runs to forked worker processes and still write the bytes a serial
+sweep writes.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +70,24 @@ def artifact_name(kind: ProtocolKind, mode: SinkMode, seed: int) -> str:
     return f"{kind.name.lower()}_{mode.name.lower()}_seed{seed}.csv"
 
 
+def _run_combo(cfg: ScenarioConfig, kind: ProtocolKind, mode: SinkMode,
+               seed: int) -> RunResult:
+    # what the pool submits: a module-level function pickles by name, while
+    # run_scenario may be rebound to a wrapper (a tracer's) that does not
+    return run_scenario(cfg, kind, mode, seed)
+
+
+def _worker_count(runs: int) -> int:
+    """Worker processes for `runs` runs: min(usable CPUs, runs), 1 without fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, runs))
+
+
 def run_matrix(
     cfg: ScenarioConfig,
     protocols=None,
@@ -75,8 +97,15 @@ def run_matrix(
 ) -> list[RunResult]:
     """Run every combination in lexicographic (protocol, sink, seed) order.
 
+    Runs go to min(usable CPUs, runs) worker processes started with fork;
+    results come back in combination order, so the output is byte-identical
+    to a serial sweep.  With one usable CPU (pin the process, for example
+    with `taskset -c 0`), one run, or no fork on the platform, the runs are
+    made one after another in this process.
+
     With `out_dir` set, writes one CSV per run plus a joint summary file.
-    A failing run aborts the whole matrix, naming the combination.
+    A failing run aborts the whole matrix, naming the first failing
+    combination in that order.
     """
     kinds = [k if isinstance(k, ProtocolKind) else ProtocolKind.parse(k)
              for k in (protocols if protocols is not None else list(ProtocolKind))]
@@ -88,15 +117,22 @@ def run_matrix(
         ((k, m, s) for k in kinds for m in modes for s in seed_list),
         key=lambda t: (t[0].name, t[1].name, t[2]),
     )
-    results: list[RunResult] = []
-    for kind, mode, seed in combos:
+    workers = _worker_count(len(combos))
+    if workers == 1:
+        results = _collect(combos, [partial(run_scenario, cfg, *c) for c in combos])
+    else:
+        # imported here: they cost 20-30 ms, which a serial sweep need not pay
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: workers inherit the backend chosen with use_backend
+        # and numba's compiled kernels instead of importing and compiling anew
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            results.append(run_scenario(cfg, kind, mode, seed))
-        except Exception as exc:
-            raise RuntimeError(
-                f"run failed for protocol={kind.name.lower()} "
-                f"sink={mode.name.lower()} seed={seed}: {exc}"
-            ) from exc
+            results = _collect(
+                combos, [pool.submit(_run_combo, cfg, *c).result for c in combos])
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -105,4 +141,18 @@ def run_matrix(
         for res in results:
             write_csv(res.history, out / artifact_name(res.protocol, res.sink, res.seed))
         write_summary([r.summary for r in results], out / SUMMARY_FILENAME, fp)
+    return results
+
+
+def _collect(combos, calls) -> list[RunResult]:
+    """Call each combination's run in order; the first failure names its combination."""
+    results: list[RunResult] = []
+    for (kind, mode, seed), call in zip(combos, calls):
+        try:
+            results.append(call())
+        except Exception as exc:
+            raise RuntimeError(
+                f"run failed for protocol={kind.name.lower()} "
+                f"sink={mode.name.lower()} seed={seed}: {exc}"
+            ) from exc
     return results

@@ -1,12 +1,46 @@
-"""Matrix sweeps: ordering, artifacts, reproducibility, failure naming."""
+"""Matrix sweeps: ordering, artifacts, reproducibility, failure naming,
+and the worker pool against the serial path."""
+import concurrent.futures
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wsnsim
 from wsnsim import ScenarioConfig, read_csv, read_summary, run_matrix, run_scenario
+from wsnsim import runner
 from wsnsim.runner import artifact_name
 
 
 CFG = ScenarioConfig(rounds=30)
+
+
+def pin_cpus(monkeypatch, count):
+    """Make the runner see `count` usable CPUs."""
+    monkeypatch.setattr(runner.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every pool run_matrix starts, in order."""
+    started = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Recorded(real):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+    return started
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
 
 
 def test_run_scenario_argument_overrides():
@@ -53,12 +87,67 @@ def test_matrix_reruns_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_matrix_failure_names_the_combination():
+def test_matrix_failure_names_the_combination(monkeypatch, pools):
     # an impossible population slips past here and detonates mid-run
     bad = ScenarioConfig(rounds=30)
     bad.nodes = 0
     with pytest.raises(RuntimeError, match="protocol=campteen sink=static_top seed=4"):
         run_matrix(bad, ["campteen"], ["static_top"], [4])
+    # on the pool every run fails: the error names the first in combination
+    # order, and no worker outlives the call, whether it raised or returned
+    pin_cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="protocol=campteen sink=static_top seed=4"):
+        run_matrix(bad, ["leach", "campteen"], ["static_top"], [4])
+    assert multiprocessing.active_children() == []
+    run_matrix(CFG, ["leach", "campteen"], ["static_top"], [4])
+    assert multiprocessing.active_children() == []
+    assert pools == ([2, 2] if hasattr(os, "fork") else [])
+
+
+@needs_fork
+def test_pool_matches_serial_bytes(tmp_path, monkeypatch, pools):
+    pooled, serial = tmp_path / "pooled", tmp_path / "serial"
+    args = (CFG, ["hteen", "leach"], ["static_top", "mobile_top"], [1, 2])
+    pin_cpus(monkeypatch, 2)
+    a = run_matrix(*args, out_dir=pooled)
+    pin_cpus(monkeypatch, 1)
+    b = run_matrix(*args, out_dir=serial)
+    assert pools == [2]
+    names = sorted(p.name for p in pooled.iterdir())
+    assert names == sorted(p.name for p in serial.iterdir())
+    assert len(names) == 9  # 8 runs plus summary.json
+    for name in names:
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes(), name
+    for ra, rb in zip(a, b):
+        assert ra.network.residual.tobytes() == rb.network.residual.tobytes()
+
+
+@needs_fork
+def test_pool_never_exceeds_the_run_count(monkeypatch, pools):
+    # the CPU cap is checked above: two CPUs, eight runs, two workers
+    pin_cpus(monkeypatch, 8)
+    run_matrix(ScenarioConfig(rounds=5), ["teen"], ["static_center"], [1, 2, 3])
+    assert pools == [3]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus, seeds", [(1, [1, 2]), (4, [1])])
+def test_serial_sweep_imports_no_pool(cpus, seeds):
+    # one usable CPU or one run: the sweep runs in this process and never
+    # loads the pool machinery
+    code = (
+        "import os, sys\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        "import wsnsim\n"
+        f"wsnsim.run_matrix(wsnsim.ScenarioConfig(rounds=5), ['leach'], ['static_top'], {seeds})\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))\n"
+    )
+    src = str(Path(wsnsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_seed_isolation_between_runs():
