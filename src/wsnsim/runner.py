@@ -127,12 +127,18 @@ def run_matrix(
 
         # fork, not spawn: workers inherit the backend chosen with use_backend
         # and numba's compiled kernels instead of importing and compiling anew
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            results = _collect(
-                combos, [pool.submit(_run_combo, cfg, *c).result for c in combos])
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            futures = [pool.submit(_run_combo, cfg, *c) for c in combos]
+            try:
+                results = _collect(combos, [f.result for f in futures])
+            finally:
+                # after a failure, drop the runs not yet started; leaving the
+                # block waits for the running ones, so no worker outlives the
+                # call.  (shutdown's cancel_futures can hang on Python 3.11
+                # when a call fails to pickle.)
+                for f in futures:
+                    f.cancel()
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -124,9 +124,17 @@ def test_pool_matches_serial_bytes(tmp_path, monkeypatch, pools):
 
 @needs_fork
 def test_pool_never_exceeds_the_run_count(monkeypatch, pools):
-    # the CPU cap is checked above: two CPUs, eight runs, two workers
+    # the CPU cap is checked above: two CPUs, eight runs, two workers.
+    # run_scenario is rebound to a local closure, as a tracer does, which
+    # cannot be pickled: the pool must not send it
+    def wrapped(*args, **kwargs):
+        return solo(*args, **kwargs)
+
+    solo = runner.run_scenario
+    monkeypatch.setattr(runner, "run_scenario", wrapped)
     pin_cpus(monkeypatch, 8)
-    run_matrix(ScenarioConfig(rounds=5), ["teen"], ["static_center"], [1, 2, 3])
+    results = run_matrix(ScenarioConfig(rounds=5), ["teen"], ["static_center"], [1, 2, 3])
+    assert [r.seed for r in results] == [1, 2, 3]
     assert pools == [3]
     assert multiprocessing.active_children() == []
 
