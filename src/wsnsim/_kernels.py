@@ -82,12 +82,9 @@ def _election_mask_loop(u, p, rm, eligible, alive):
 def _member_phase_loop(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d0sq):
     # Members transmit in node-id order; the head pays reception per packet
     # and may die mid-phase, losing the remaining deliveries addressed to it.
-    n = gate.shape[0]
-    received = np.zeros(n, np.int64)
+    received = np.zeros(gate.shape[0], np.int64)
     to_ch = 0
-    for i in range(n):
-        if not gate[i]:
-            continue
+    for i in np.nonzero(gate)[0]:
         j = assign[i]
         if j < 0:
             continue

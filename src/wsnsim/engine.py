@@ -118,8 +118,16 @@ class Engine:
         if ch_ids.size == 0:
             return RoundMetrics(rnd, n_alive0, n - n_alive0, 0, 0, 0, self._cum_bs, 0.0)
 
+        # reporting gates (the election touches none of their inputs)
+        if self.kind in REACTIVE:
+            gate = teen_gate_mask(net.sensed, net.last_tx, alive0,
+                                  self.cfg.hard_threshold, self.cfg.soft_threshold)
+        else:
+            gate = alive0
+
         # membership: CAMP keeps its election-time cover, everyone else
-        # joins the nearest head
+        # joins the nearest head.  The member phase reads `assign` and
+        # `d2ch` only for gated nodes, so only gated non-heads are placed.
         if camp_cover is not None:
             assign = camp_cover.copy()
             assign[ch_ids] = -1
@@ -128,18 +136,15 @@ class Engine:
             dy = net.y - net.y[tgt]
             d2ch = dx * dx + dy * dy
         else:
-            idx, d2ch = _kernels.nearest_site(net.x, net.y,
-                                              net.x[ch_ids], net.y[ch_ids])
-            assign = ch_ids[idx]
-            assign[ch_ids] = -1
-        assign[~alive0] = -1
-
-        # reporting gates
-        if self.kind in REACTIVE:
-            gate = teen_gate_mask(net.sensed, net.last_tx, alive0,
-                                  self.cfg.hard_threshold, self.cfg.soft_threshold)
-        else:
-            gate = alive0.copy()
+            member = gate.copy()
+            member[ch_ids] = False
+            rows = member.nonzero()[0]
+            idx, d2 = _kernels.nearest_site(net.x[rows], net.y[rows],
+                                            net.x[ch_ids], net.y[ch_ids])
+            assign = np.full(n, -1, np.int64)
+            assign[rows] = ch_ids[idx]
+            d2ch = np.zeros(n)
+            d2ch[rows] = d2
 
         signals, to_ch = _kernels.member_phase(
             gate, assign, d2ch, net.residual,

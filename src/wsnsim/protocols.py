@@ -332,11 +332,12 @@ def hteen_build_hierarchy(
         tx_d2 = dx * dx + dy * dy
         targets = np.full(senders.size, -1, np.int64)
         if up.size:
-            idx, d2up = _kernels.nearest_site(
-                net.x[senders], net.y[senders], net.x[up], net.y[up])
             relay = tx_d2 > direct_r2
-            targets[relay] = up[idx[relay]]
-            tx_d2[relay] = d2up[relay]
+            via = senders[relay]
+            idx, d2up = _kernels.nearest_site(
+                net.x[via], net.y[via], net.x[up], net.y[up])
+            targets[relay] = up[idx]
+            tx_d2[relay] = d2up
         hops.append((senders, targets, tx_d2))
     return hops
 

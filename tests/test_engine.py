@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from wsnsim import _kernels
 from wsnsim import (
     Engine,
     EnergyParams,
@@ -58,6 +59,43 @@ def test_deaths_only_after_stability_period():
     assert s is not None
     assert all(d == 0 for d in res.history.dead[:s])
     assert res.history.dead[s] > 0
+
+
+@pytest.mark.parametrize("sink", ["static_center", "mobile_top"])
+@pytest.mark.parametrize("protocol", ["leach", "teen", "deec", "hteen"])
+def test_members_join_their_nearest_head(monkeypatch, protocol, sink):
+    # The engine's own membership, read where the member phase receives it:
+    # every gated non-head node is assigned the exhaustive nearest head of
+    # the bottom tier (the first head wins ties) at that head's squared
+    # distance, bit for bit, in rounds before and after nodes die.
+    rounds = []
+    elect, member_phase = Engine._elect, _kernels.member_phase
+
+    def record_heads(self, net, rnd, rng):
+        tiers, cover = elect(self, net, rnd, rng)
+        rounds.append([net, tiers[0]])
+        return tiers, cover
+
+    def record_members(gate, assign, d2ch, *rest):
+        rounds[-1] += [gate.copy(), assign.copy(), d2ch.copy()]
+        return member_phase(gate, assign, d2ch, *rest)
+
+    monkeypatch.setattr(Engine, "_elect", record_heads)
+    monkeypatch.setattr(_kernels, "member_phase", record_members)
+    res = run_short(protocol, sink=sink, rounds=300, initial_energy_j=0.02)
+    assert res.history.dead[-1] > 0
+    checked = 0
+    for net, heads, gate, assign, d2ch in (r for r in rounds if len(r) == 5):
+        members = gate.copy()
+        members[heads] = False
+        i = members.nonzero()[0]
+        d2 = (net.x[i, None] - net.x[heads]) ** 2 + (net.y[i, None] - net.y[heads]) ** 2
+        nearest = heads[np.argmin(d2, axis=1)]
+        assert np.array_equal(assign[i], nearest)
+        want = (net.x[i] - net.x[nearest]) ** 2 + (net.y[i] - net.y[nearest]) ** 2
+        assert d2ch[i].tobytes() == want.tobytes()
+        checked += i.size
+    assert checked > 0
 
 
 @pytest.mark.parametrize("protocol", ["leach", "teen", "deec", "campteen"])

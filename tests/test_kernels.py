@@ -53,13 +53,15 @@ def kernel_impls(name):
 
 
 def nearest_instances(rng):
-    """Random tables, then tables larger than one row block of the numpy
-    fallback on an integer grid, so that equal distances (the first site
-    wins) fall at block edges."""
+    """Random tables, no points at all (a round in which no member
+    reports), then tables larger than one row block of the numpy fallback
+    on an integer grid, so that equal distances (the first site wins) fall
+    at block edges."""
     for _ in range(20):
         n, k = int(rng.integers(1, 200)), int(rng.integers(1, 20))
         yield (rng.uniform(0, 100, n), rng.uniform(0, 100, n),
                rng.uniform(0, 100, k), rng.uniform(0, 100, k))
+    yield np.empty(0), np.empty(0), rng.uniform(0, 100, 5), rng.uniform(0, 100, 5)
     block = _kernels._NEAREST_BLOCK
     for n, k in ((1000, 100), (1000, 9), (5, block + 3), (3 * block // 64 + 1, 64)):
         yield tuple(rng.integers(0, 30, m).astype(np.float64) for m in (n, n, k, k))
@@ -67,12 +69,12 @@ def nearest_instances(rng):
 
 def test_nearest_site_parity():
     rng = np.random.default_rng(40)
-    ref, *others = kernel_impls("nearest_site")
+    impls = kernel_impls("nearest_site")
     for px, py, sx, sy in nearest_instances(rng):
-        ia, da = ref(px, py, sx, sy)
-        for impl in others:
-            ib, db = impl(px, py, sx, sy)
-            assert ib.dtype == np.int64
+        (ia, da), *others = [impl(px, py, sx, sy) for impl in impls]
+        for ib, db in [(ia, da)] + others:
+            assert ib.dtype == np.int64 and db.dtype == np.float64
+            assert ib.shape == db.shape == px.shape
             assert np.array_equal(ia, ib)
             assert np.array_equal(da, db)  # bitwise, no tolerance
 
@@ -197,10 +199,9 @@ def member_instances(rng):
         yield gate, assign, d2ch, resid, 2e-4, 4e-8, 5.2e-12, 7692.3
 
 
-def test_member_phase_parity_with_deaths():
-    rng = np.random.default_rng(42)
+def assert_member_parity(cases):
     ref, *others = kernel_impls("member_phase")
-    for gate, assign, d2ch, resid, *radio in member_instances(rng):
+    for gate, assign, d2ch, resid, *radio in cases:
         r = resid.copy()
         rec, to_ch = ref(gate, assign, d2ch, r, *radio)
         for impl in others:
@@ -209,6 +210,27 @@ def test_member_phase_parity_with_deaths():
             assert np.array_equal(rec, rec2)
             assert to_ch == to_ch2 and type(to_ch2) is int
             assert r.tobytes() == r2.tobytes()  # residuals bit-equal
+
+
+def test_member_phase_parity_with_deaths():
+    assert_member_parity(member_instances(np.random.default_rng(42)))
+
+
+def test_member_phase_parity_sparse_gates(monkeypatch):
+    # Gates of fewer than _LOOP_BELOW nodes send the fallback to the loop,
+    # where it would only meet itself; with the threshold at 0 its
+    # vectorized path checks the loop's walk over the gated ids on sparse
+    # and empty gates.
+    monkeypatch.setattr(_kernels, "_LOOP_BELOW", 0)
+    rng = np.random.default_rng(45)
+
+    def sparse_gates():
+        for gate, *rest in member_instances(rng):
+            sparse = np.zeros_like(gate)
+            sparse[rng.permutation(gate.nonzero()[0])[:int(rng.integers(0, 16))]] = True
+            yield (sparse, *rest)
+
+    assert_member_parity(sparse_gates())
 
 
 def relay_instances(rng):
