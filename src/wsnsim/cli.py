@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .config import ScenarioConfig, fingerprint, parse_config
-from .metrics import write_csv, write_summary
-from .protocols import ProtocolKind
-from .runner import artifact_name, run_matrix, run_scenario
-from .sink import SinkMode
+from .config import ScenarioConfig, _coerce, parse_config
+from .metrics import write_csv
+from .runner import run_matrix, run_scenario
 
 
 def _parse_overrides(pairs) -> dict:
@@ -116,7 +113,7 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args)
     protocols = _split_list(args.protocols) if args.protocols else None
     sinks = _split_list(args.sinks) if args.sinks else None
-    seeds = [int(s) for s in _split_list(args.seeds)] if args.seeds else None
+    seeds = [_coerce("seed", s) for s in _split_list(args.seeds)] if args.seeds else None
     results = run_matrix(cfg, protocols, sinks, seeds, out_dir=args.out_dir)
     for res in results:
         print(_summary_line(res.summary))

@@ -2,7 +2,15 @@
 
 Precedence is defaults < config file < explicit overrides (CLI flags).
 The file format is flat ``key = value`` lines with ``#`` comments; every
-key must match a known field, and values are coerced to the field's type.
+key must match a known field, and values read from text are converted to
+the field's type.
+
+A `ScenarioConfig` checks itself when it is built and is frozen, so every
+path crosses the same checks: the constructor, `dataclasses.replace`,
+`parse_config` and the CLI.  Values of the wrong type are rejected, not
+converted.  A failure raises `ValueError` naming the key.  The lower layers
+(`EnergyParams`, `ProtocolConfig`, `SinkState`, `deploy`) take values from
+a checked config and do no range checks of their own.
 """
 from __future__ import annotations
 
@@ -16,89 +24,82 @@ from .energy import EnergyParams
 from .protocols import ProtocolConfig, ProtocolKind
 from .sink import SinkMode
 
+# intervals, as (test, what a failing value must be)
+_UNBOUNDED = (lambda v: True, "")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_POSITIVE = (lambda v: v > 0, "positive")
+_FRACTION = (lambda v: 0 < v <= 1, "in (0, 1]")
+_SHARE = (lambda v: 0 <= v <= 1, "in [0, 1]")
 
-@dataclass
+# accepted types per annotation; ints stay ints in float fields, so that
+# `fingerprint` (which uses repr) sees the value the caller gave
+_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def _field(default, interval):
+    return dataclasses.field(default=default, metadata={"interval": interval})
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
+    """Every input of a run, and the one table of rules for it: each field's
+    annotation is its type and its `_field` its interval.  Numbers must also
+    be finite, and the two tier fractions may sum to at most 1."""
+
     # population / field / horizon
-    nodes: int = 100
-    field_m: float = 100.0
-    rounds: int = 5000
-    initial_energy_j: float = 0.5
-    packet_bits: int = 4000
+    nodes: int = _field(100, _AT_LEAST_1)
+    field_m: float = _field(100.0, _POSITIVE)
+    rounds: int = _field(5000, _AT_LEAST_1)
+    initial_energy_j: float = _field(0.5, _POSITIVE)
+    packet_bits: int = _field(4000, _AT_LEAST_1)
     # radio constants
-    e_elec_j: float = 50e-9
-    e_fs_j: float = 10e-12
-    e_mp_j: float = 0.0013e-12
-    e_da_j: float = 5e-9
+    e_elec_j: float = _field(50e-9, _POSITIVE)
+    e_fs_j: float = _field(10e-12, _POSITIVE)
+    e_mp_j: float = _field(0.0013e-12, _POSITIVE)
+    e_da_j: float = _field(5e-9, _POSITIVE)
     # clustering
-    p_opt: float = 0.1
-    # run selection
+    p_opt: float = _field(0.1, _FRACTION)
+    # run selection; the names are parsed, not bounded
     protocol: str = "leach"
     sink: str = "static_center"
-    seed: int = 1
-    # reactive reporting thresholds (sensed scale is 0..200)
+    seed: int = _field(1, _NON_NEGATIVE)
+    # reactive reporting thresholds (sensed scale is 0..200); hard ones are unbounded
     hard_threshold: float = 100.0
-    soft_threshold: float = 2.0
-    hteen_layers: int = 3
-    hteen_layer_p: float = 0.1
+    soft_threshold: float = _field(2.0, _NON_NEGATIVE)
+    hteen_layers: int = _field(3, _AT_LEAST_1)
+    hteen_layer_p: float = _field(0.1, _FRACTION)
     hteen_hard_threshold: float = 130.0
-    hteen_soft_threshold: float = 2.0
+    hteen_soft_threshold: float = _field(2.0, _NON_NEGATIVE)
     camp_hard_threshold: float = 198.0
-    camp_soft_threshold: float = 2.0
-    camp_timer_k: float = 1.0
-    camp_comm_range_m: float = 25.0
+    camp_soft_threshold: float = _field(2.0, _NON_NEGATIVE)
+    camp_timer_k: float = _field(1.0, _POSITIVE)
+    camp_comm_range_m: float = _field(25.0, _POSITIVE)
     # heterogeneous energy tiers (used by the energy-aware protocol only)
-    deec_advanced_fraction: float = 0.2
-    deec_advanced_factor: float = 2.0
-    deec_super_fraction: float = 0.1
-    deec_super_factor: float = 4.0
+    deec_advanced_fraction: float = _field(0.2, _SHARE)
+    deec_advanced_factor: float = _field(2.0, _NON_NEGATIVE)
+    deec_super_fraction: float = _field(0.1, _SHARE)
+    deec_super_factor: float = _field(4.0, _NON_NEGATIVE)
     # sink trajectory
-    sink_step_m: float = 10.0
-    sink_pause_rounds: int = 1
-    sink_range_m: float = 25.0
+    sink_step_m: float = _field(10.0, _POSITIVE)
+    sink_pause_rounds: int = _field(1, _AT_LEAST_1)
+    sink_range_m: float = _field(25.0, _NON_NEGATIVE)
 
-    def validate(self) -> None:
-        # NaN fails every comparison below, so reject non-finite values first
+    def __post_init__(self):
         for f in dataclasses.fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+            value = getattr(self, f.name)
+            types, words = _TYPES[f.type]
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ValueError(
+                    f"configuration error: '{f.name}' must be {words}, "
+                    f"not {type(value).__name__}")
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"configuration error: '{f.name}' must be finite")
-        if self.nodes < 1:
-            raise ValueError("configuration error: 'nodes' must be >= 1")
-        if self.rounds < 1:
-            raise ValueError("configuration error: 'rounds' must be >= 1")
-        if self.field_m <= 0.0:
-            raise ValueError("configuration error: 'field_m' must be positive")
-        if self.initial_energy_j <= 0.0:
-            raise ValueError("configuration error: 'initial_energy_j' must be positive")
-        if self.packet_bits < 1:
-            raise ValueError("configuration error: 'packet_bits' must be >= 1")
-        for key in ("e_elec_j", "e_fs_j", "e_mp_j", "e_da_j"):
-            if getattr(self, key) <= 0.0:
-                raise ValueError(f"configuration error: '{key}' must be positive")
-        if not 0.0 < self.p_opt <= 1.0:
-            raise ValueError("configuration error: 'p_opt' must be in (0, 1]")
-        if not 0.0 < self.hteen_layer_p <= 1.0:
-            raise ValueError("configuration error: 'hteen_layer_p' must be in (0, 1]")
-        if self.hteen_layers < 1:
-            raise ValueError("configuration error: 'hteen_layers' must be >= 1")
-        for key in ("soft_threshold", "hteen_soft_threshold", "camp_soft_threshold",
-                    "sink_range_m"):
-            if getattr(self, key) < 0.0:
-                raise ValueError(f"configuration error: '{key}' must be >= 0")
-        for key in ("camp_timer_k", "camp_comm_range_m", "sink_step_m"):
-            if getattr(self, key) <= 0.0:
-                raise ValueError(f"configuration error: '{key}' must be positive")
-        if self.sink_pause_rounds < 1:
-            raise ValueError("configuration error: 'sink_pause_rounds' must be >= 1")
-        for key in ("deec_advanced_fraction", "deec_super_fraction"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ValueError(f"configuration error: '{key}' must be in [0, 1]")
+            test, bound = f.metadata.get("interval", _UNBOUNDED)
+            if not test(value):
+                raise ValueError(f"configuration error: '{f.name}' must be {bound}")
         if self.deec_advanced_fraction + self.deec_super_fraction > 1.0:
-            raise ValueError(
-                "configuration error: tier fractions must sum to <= 1")
-        for key in ("deec_advanced_factor", "deec_super_factor"):
-            if getattr(self, key) < 0.0:
-                raise ValueError(f"configuration error: '{key}' must be >= 0")
+            raise ValueError("configuration error: tier fractions must sum to <= 1")
         ProtocolKind.parse(self.protocol)
         SinkMode.parse(self.sink)
 
@@ -150,9 +151,7 @@ def parse_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
         if key not in _FIELDS:
             raise ValueError(f"configuration error: unknown key '{key}'")
         values[key] = _coerce(key, raw)
-    cfg = ScenarioConfig(**values)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(**values)
 
 
 def energy_params(cfg: ScenarioConfig) -> EnergyParams:

@@ -30,13 +30,6 @@ class EnergyParams:
     e_da: float = 5e-9
     packet_bits: int = 4000
 
-    def __post_init__(self):
-        for name in ("e_elec", "e_fs", "e_mp", "e_da"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.packet_bits < 1:
-            raise ValueError("packet_bits must be >= 1")
-
     @property
     def d0(self) -> float:
         """Crossover distance between the two amplifier regimes."""

@@ -109,21 +109,9 @@ def deploy(
     Exactly floor(super_fraction*N) nodes get factor `super_factor` and
     floor(advanced_fraction*N) get `advanced_factor` (assigned by id,
     supers first); the rest are normal.  Node i starts with
-    initial_energy_j * (1 + factor_i).
+    initial_energy_j * (1 + factor_i).  The arguments are used as given:
+    `ScenarioConfig` checks their ranges.
     """
-    if node_count < 1:
-        raise ValueError("node_count must be >= 1")
-    if field_m <= 0.0:
-        raise ValueError("field_m must be positive")
-    if initial_energy_j <= 0.0:
-        raise ValueError("initial_energy_j must be positive")
-    for name, val in (("advanced_fraction", advanced_fraction),
-                      ("super_fraction", super_fraction)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1]")
-    if advanced_fraction + super_fraction > 1.0:
-        raise ValueError("tier fractions must sum to <= 1")
-
     x = rng.random(node_count) * field_m
     y = rng.random(node_count) * field_m
 

@@ -50,22 +50,6 @@ class ProtocolConfig:
     super_fraction: float = 0.0
     super_factor: float = 0.0
 
-    def __post_init__(self):
-        if not 0.0 < self.p_opt <= 1.0:
-            raise ValueError("p_opt must be in (0, 1]")
-        if self.soft_threshold < 0.0:
-            raise ValueError("soft_threshold must be >= 0")
-        if self.hierarchy_layers < 1:
-            raise ValueError("hierarchy_layers must be >= 1")
-        if not 0.0 < self.layer_p <= 1.0:
-            raise ValueError("layer_p must be in (0, 1]")
-        if self.timer_k <= 0.0:
-            raise ValueError("timer_k must be positive")
-        if self.comm_range_m <= 0.0:
-            raise ValueError("comm_range_m must be positive")
-        if self.sink_range_m < 0.0:
-            raise ValueError("sink_range_m must be >= 0")
-
 
 def epoch_length(p: float) -> int:
     """Rounds per eligibility epoch for head fraction `p`."""
@@ -80,8 +64,6 @@ class EpochTracker:
     """
 
     def __init__(self, n_nodes: int, p: float):
-        if not 0.0 < p <= 1.0:
-            raise ValueError("p must be in (0, 1]")
         self.p = p
         self.epoch = epoch_length(p)
         self.eligible = np.ones(n_nodes, np.bool_)

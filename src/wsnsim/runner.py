@@ -8,8 +8,10 @@ sweep writes.
 """
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
+from enum import IntEnum
 from functools import partial
 from pathlib import Path
 
@@ -41,13 +43,12 @@ def run_scenario(
     sink: str | SinkMode | None = None,
     seed: int | None = None,
 ) -> RunResult:
-    """Simulate one protocol/sink/seed combination for cfg.rounds rounds."""
-    kind = protocol if isinstance(protocol, ProtocolKind) else ProtocolKind.parse(
-        protocol if protocol is not None else cfg.protocol)
-    mode = sink if isinstance(sink, SinkMode) else SinkMode.parse(
-        sink if sink is not None else cfg.sink)
-    run_seed = cfg.seed if seed is None else int(seed)
+    """Simulate one protocol/sink/seed combination for cfg.rounds rounds.
 
+    `protocol`, `sink` and `seed` replace the config's own values and are
+    checked by the same rules.
+    """
+    kind, mode, run_seed = _combination(cfg, protocol, sink, seed)
     rng = np.random.default_rng([run_seed, int(kind), int(mode)])
     pcfg = protocol_config(cfg, kind)
     net = deploy(
@@ -64,6 +65,35 @@ def run_scenario(
         hist.record_round(eng.step(net, sinkst, rnd, rng))
     summary = summarize(hist, kind.name.lower(), mode.name.lower(), run_seed)
     return RunResult(kind, mode, run_seed, hist, summary, net)
+
+
+_AXES = ("protocol", "sink", "seed")
+
+
+def _combination(cfg: ScenarioConfig, protocol=None, sink=None,
+                 seed=None) -> tuple[ProtocolKind, SinkMode, int]:
+    """The (protocol, sink, seed) of one run, checked by the config's rules."""
+    given = {key: value.name.lower() if isinstance(value, IntEnum) else value
+             for key, value in zip(_AXES, (protocol, sink, seed)) if value is not None}
+    run = dataclasses.replace(cfg, **given)
+    return ProtocolKind.parse(run.protocol), SinkMode.parse(run.sink), run.seed
+
+
+def _axis(cfg: ScenarioConfig, key: str, values) -> list:
+    """One axis of a sweep, each value checked by the config's rules.
+
+    An empty axis or a value given twice (after parsing, so 'leach' and
+    'LEACH' are the same) is an error naming the key.
+    """
+    values = list(values)
+    pos = _AXES.index(key)
+    parsed = [_combination(cfg, **{key: value})[pos] for value in values]
+    if not parsed:
+        raise ValueError(f"configuration error: no '{key}' to run")
+    for i, value in enumerate(parsed):
+        if value in parsed[:i]:
+            raise ValueError(f"configuration error: '{key}' {values[i]!r} is given twice")
+    return parsed
 
 
 def artifact_name(kind: ProtocolKind, mode: SinkMode, seed: int) -> str:
@@ -103,15 +133,15 @@ def run_matrix(
     with `taskset -c 0`), one run, or no fork on the platform, the runs are
     made one after another in this process.
 
+    Every protocol, sink and seed is checked by the config's rules before
+    the first run; an empty list or a repeated entry is an error too.
     With `out_dir` set, writes one CSV per run plus a joint summary file.
     A failing run aborts the whole matrix, naming the first failing
     combination in that order.
     """
-    kinds = [k if isinstance(k, ProtocolKind) else ProtocolKind.parse(k)
-             for k in (protocols if protocols is not None else list(ProtocolKind))]
-    modes = [m if isinstance(m, SinkMode) else SinkMode.parse(m)
-             for m in (sinks if sinks is not None else list(SinkMode))]
-    seed_list = [int(s) for s in (seeds if seeds is not None else [cfg.seed])]
+    kinds = _axis(cfg, "protocol", ProtocolKind if protocols is None else protocols)
+    modes = _axis(cfg, "sink", SinkMode if sinks is None else sinks)
+    seed_list = _axis(cfg, "seed", [cfg.seed] if seeds is None else seeds)
 
     combos = sorted(
         ((k, m, s) for k in kinds for m in modes for s in seed_list),

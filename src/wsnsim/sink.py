@@ -31,14 +31,6 @@ class SinkState:
     step_m: float = 10.0
     pause_rounds: int = 1
 
-    def __post_init__(self):
-        if self.field_m <= 0.0:
-            raise ValueError("field_m must be positive")
-        if self.step_m <= 0.0:
-            raise ValueError("step_m must be positive")
-        if self.pause_rounds < 1:
-            raise ValueError("pause_rounds must be >= 1")
-
 
 def sink_position(sink: SinkState, rnd: int) -> tuple[float, float]:
     """Sink coordinates during round `rnd`.

@@ -58,6 +58,24 @@ def test_run_non_finite_value_is_usage_error(override, capsys):
     assert f"'{key}' must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--seed", "-1"], "seed"),
+    (["compare", "--seeds", "-1"], "seed"),
+    (["compare", "--seeds", "1.5"], "seed"),
+    (["compare", "--seeds", "1,1"], "seed"),
+    (["compare", "--seeds", ","], "seed"),
+    (["compare", "--protocols", "leach,LEACH"], "protocol"),
+], ids=lambda p: " ".join(p) if isinstance(p, list) else p)
+def test_bad_run_selection_is_usage_error(argv, key, tmp_path, capsys):
+    out = tmp_path / "cmp"
+    extra = ["--out-dir", str(out)] if argv[0] == "compare" else []
+    code = main(argv + ["--rounds", "5"] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: " in err and f"'{key}'" in err
+    assert not out.exists()  # rejected before any run
+
+
 def test_compare_writes_matrix_artifacts(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = main([

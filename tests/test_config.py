@@ -1,4 +1,7 @@
 """Config parsing, precedence, validation, and fingerprints."""
+import dataclasses
+from functools import partial
+
 import pytest
 
 from wsnsim import (
@@ -12,8 +15,43 @@ from wsnsim import (
 )
 
 
+NAN, INF = float("nan"), float("inf")
+
+# one bad value each; the message must name the key
+REJECTED = [
+    # radio constants
+    dict(e_elec_j=0.0), dict(e_fs_j=-1e-12), dict(e_mp_j=0.0), dict(packet_bits=0),
+    # protocol tunables
+    dict(p_opt=0.0), dict(p_opt=1.5), dict(hteen_layers=0),
+    dict(hteen_layer_p=0.0), dict(camp_timer_k=0.0), dict(camp_comm_range_m=-1.0),
+    # sink trajectory
+    dict(field_m=-5.0), dict(sink_step_m=0.0), dict(sink_pause_rounds=0),
+    # not finite, or out of range
+    dict(field_m=NAN), dict(initial_energy_j=NAN), dict(e_mp_j=INF),
+    dict(sink_step_m=NAN), dict(camp_comm_range_m=NAN), dict(hard_threshold=NAN),
+    dict(deec_advanced_factor=-1.0), dict(rounds=0), dict(nodes=0), dict(seed=-1),
+    # of the wrong type: rejected, never converted
+    dict(nodes=True), dict(nodes=100.0), dict(field_m="100"),
+]
+
+
+@pytest.mark.parametrize("make, bad", [(ScenarioConfig, bad) for bad in REJECTED] + [
+    (partial(dataclasses.replace, ScenarioConfig()), dict(field_m=NAN)),
+], ids=[f"{k}={v!r}" for bad in REJECTED for k, v in bad.items()] + ["replace-field_m=nan"])
+def test_invalid_values_rejected_by_key(make, bad):
+    (key,) = bad
+    with pytest.raises(ValueError, match=f"configuration error: '{key}' must be "):
+        make(**bad)
+
+
 def test_defaults_are_valid():
-    ScenarioConfig().validate()
+    ScenarioConfig()
+
+
+def test_ints_stay_ints_in_float_fields():
+    # fingerprint uses repr: a converted 100 would change every summary.json
+    assert fingerprint(ScenarioConfig(field_m=100)) == "d5c9e972fa65"
+    assert fingerprint(ScenarioConfig(field_m=100.0)) == "490a88ba59f3"
 
 
 def test_parse_text_basic():
@@ -67,6 +105,8 @@ def test_validation_failures_name_the_key():
         parse_config(None, {"rounds": "0"})
     with pytest.raises(ValueError, match="unknown protocol"):
         parse_config(None, {"protocol": "gossip"})
+    with pytest.raises(ValueError, match="tier fractions must sum to <= 1"):
+        parse_config(None, {"deec_advanced_fraction": "0.6", "deec_super_fraction": "0.5"})
 
 
 def test_energy_params_projection():

@@ -95,14 +95,6 @@ def test_optimal_cluster_count_matches_round_energy_minimum():
     assert abs(min(costs, key=costs.get) - k_opt) <= 1.0
 
 
-@pytest.mark.parametrize("bad", [
-    dict(e_elec=0.0), dict(e_fs=-1e-12), dict(e_mp=0.0), dict(packet_bits=0),
-])
-def test_invalid_parameters_rejected(bad):
-    with pytest.raises(ValueError):
-        EnergyParams(**bad)
-
-
 def test_negative_distance_rejected():
     with pytest.raises(ValueError):
         tx_energy(P, 4000, -1.0)

@@ -55,15 +55,6 @@ def test_protocol_parse_rejects_unknown():
         ProtocolKind.parse("pegasis")
 
 
-@pytest.mark.parametrize("bad", [
-    dict(p_opt=0.0), dict(p_opt=1.5), dict(hierarchy_layers=0),
-    dict(layer_p=0.0), dict(timer_k=0.0), dict(comm_range_m=-1.0),
-])
-def test_protocol_config_validation(bad):
-    with pytest.raises(ValueError):
-        ProtocolConfig(**bad)
-
-
 def test_epoch_length():
     assert epoch_length(0.1) == 10
     assert epoch_length(0.3) == 4  # ceil(10/3)

@@ -88,16 +88,20 @@ def test_matrix_reruns_are_byte_identical(tmp_path):
 
 
 def test_matrix_failure_names_the_combination(monkeypatch, pools):
-    # an impossible population slips past here and detonates mid-run
-    bad = ScenarioConfig(rounds=30)
-    bad.nodes = 0
-    with pytest.raises(RuntimeError, match="protocol=campteen sink=static_top seed=4"):
-        run_matrix(bad, ["campteen"], ["static_top"], [4])
-    # on the pool every run fails: the error names the first in combination
-    # order, and no worker outlives the call, whether it raised or returned
-    pin_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="protocol=campteen sink=static_top seed=4"):
-        run_matrix(bad, ["leach", "campteen"], ["static_top"], [4])
+    # every run fails mid-way, in this process and in forked workers alike
+    # (they inherit the patch)
+    def failing_deploy(*args, **kwargs):
+        raise ValueError("deployment failed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(runner, "deploy", failing_deploy)
+        with pytest.raises(RuntimeError, match="protocol=campteen sink=static_top seed=4"):
+            run_matrix(CFG, ["campteen"], ["static_top"], [4])
+        # on the pool the error names the first failure in combination
+        # order, and no worker outlives the call, whether it raised or returned
+        pin_cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="protocol=campteen sink=static_top seed=4"):
+            run_matrix(CFG, ["leach", "campteen"], ["static_top"], [4])
     assert multiprocessing.active_children() == []
     run_matrix(CFG, ["leach", "campteen"], ["static_top"], [4])
     assert multiprocessing.active_children() == []

@@ -62,11 +62,6 @@ def test_collection_distance():
 
 
 def test_sink_state_validation():
-    with pytest.raises(ValueError):
-        SinkState(SinkMode.MOBILE_TOP, -5.0)
-    with pytest.raises(ValueError):
-        SinkState(SinkMode.MOBILE_TOP, 100.0, step_m=0.0)
-    with pytest.raises(ValueError):
-        SinkState(SinkMode.MOBILE_TOP, 100.0, pause_rounds=0)
+    # field_m, step_m and pause_rounds are checked where ScenarioConfig is built
     with pytest.raises(ValueError):
         sink_position(SinkState(SinkMode.STATIC_TOP, 100.0), -1)
