@@ -11,6 +11,17 @@ Inputs outside that contract, and calls too small to repay numpy's
 per-call cost, take the loop.  Both backends perform the same arithmetic
 in the same order, so results are bit-identical either way.
 
+The engine hands the kernels a population that may stack several runs
+(ids r*N .. r*N+N-1 for run r).  The elementwise kernels and the charging
+phases need no run boundaries: no packet crosses from one run to
+another, so their contracts hold per run and hence for the stack.  For
+the same reason the charging phases report per-node outcomes, not
+totals: ``member_phase`` returns the packets each node received, and
+``relay_phase`` returns, per sender, whether its packet reached the sink
+(receptions by heads are added to ``signals`` in place).  The engine
+tallies them per run.  ``nearest_site`` and ``greedy_cover`` see one run
+at a time.
+
 Backend selection: the compiled path is the default when numba imports;
 set ``WSNSIM_DISABLE_NUMBA=1`` to force the fallback, or call
 ``use_backend("python"|"numba")`` at runtime.
@@ -82,8 +93,8 @@ def _election_mask_loop(u, p, rm, eligible, alive):
 def _member_phase_loop(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d0sq):
     # Members transmit in node-id order; the head pays reception per packet
     # and may die mid-phase, losing the remaining deliveries addressed to it.
+    # Returns the packets each node received.
     received = np.zeros(gate.shape[0], np.int64)
-    to_ch = 0
     for i in np.nonzero(gate)[0]:
         j = assign[i]
         if j < 0:
@@ -107,19 +118,18 @@ def _member_phase_loop(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d
         if rj >= e_elec_b:
             residual[j] = rj - e_elec_b
             received[j] += 1
-            to_ch += 1
         else:
             residual[j] = 0.0
-    return received, to_ch
+    return received
 
 
 def _relay_phase_loop(order, signals, residual, tx_d2, target,
                       e_elec_b, e_fs_b, e_mp_b, e_da_b, d0sq):
     # Heads aggregate their collected signals and forward one packet each,
     # either to the sink (target -1) or to a parent head that then pays
-    # reception and inherits the packet as one more signal.
-    to_bs = 0
-    to_ch = 0
+    # reception and inherits the packet as one more signal.  Returns, per
+    # sender, whether its packet reached the sink.
+    to_sink = np.zeros(order.shape[0], np.bool_)
     for t in range(order.shape[0]):
         i = order[t]
         if residual[i] <= 0.0:
@@ -145,7 +155,7 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
         residual[i] = r - c_tx
         j = target[t]
         if j < 0:
-            to_bs += 1
+            to_sink[t] = True
         else:
             rj = residual[j]
             if rj <= 0.0:
@@ -153,10 +163,9 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
             if rj >= e_elec_b:
                 residual[j] = rj - e_elec_b
                 signals[j] += 1
-                to_ch += 1
             else:
                 residual[j] = 0.0
-    return to_bs, to_ch
+    return to_sink
 
 
 def _greedy_cover_loop(order, x, y, dead, range2):
@@ -267,7 +276,7 @@ def _pay_tx(r, d2, e_elec_b, e_fs_b, e_mp_b, d0sq):
 
 def _receive(residual, dest, count, e_elec_b):
     # Charge reception for packets delivered to heads `dest` (ids >= 0) and
-    # add each head's receptions to `count`; returns the total received.
+    # add each head's receptions to `count`.
     # A head's charges are a run of equal subtractions, so only its number
     # of packets matters, and a row [r, e, e, ...] accumulated left to right
     # (sequentially, like the loop) holds its residual before each packet.
@@ -275,12 +284,12 @@ def _receive(residual, dest, count, e_elec_b):
     # >= e, capped at the number sent; a head that runs short ends at 0.0
     # and one already at <= 0 is left untouched.
     if dest.size == 0:
-        return 0
+        return
     per = np.bincount(dest, minlength=residual.shape[0])
     heads = per.nonzero()[0]
     heads = heads[residual[heads] > 0.0]
     if heads.size == 0:
-        return 0
+        return
     sent = per[heads]
     most = int(sent.max())
     run = np.full((heads.size, most + 1), e_elec_b)
@@ -289,7 +298,6 @@ def _receive(residual, dest, count, e_elec_b):
     got = np.minimum(np.add.reduce(run[:, :most] >= e_elec_b, axis=1), sent)
     residual[heads] = np.where(got == sent, run[np.arange(heads.size), sent], 0.0)
     count[heads] += got
-    return int(np.add.reduce(got))
 
 
 def _member_phase_np(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d0sq):
@@ -307,7 +315,8 @@ def _member_phase_np(gate, assign, d2ch, residual, e_elec_b, e_fs_b, e_mp_b, d0s
     received = np.zeros(gate.shape[0], np.int64)
     ok, left = _pay_tx(residual[snd], d2ch[snd], e_elec_b, e_fs_b, e_mp_b, d0sq)
     residual[snd] = left
-    return received, _receive(residual, dest[ok], received, e_elec_b)
+    _receive(residual, dest[ok], received, e_elec_b)
+    return received
 
 
 def _relay_phase_np(order, signals, residual, tx_d2, target,
@@ -331,8 +340,8 @@ def _relay_phase_np(order, signals, residual, tx_d2, target,
     sent = act & (r >= c_agg) & ok
     residual[order] = np.where(sent, left, np.where(act, 0.0, r))
     dest = target[sent]
-    up = dest >= 0
-    return int(dest.size - np.count_nonzero(up)), _receive(residual, dest[up], signals, e_elec_b)
+    _receive(residual, dest[dest >= 0], signals, e_elec_b)
+    return sent & (target < 0)
 
 
 _PY_IMPL = {

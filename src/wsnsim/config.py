@@ -3,7 +3,8 @@
 Precedence is defaults < config file < explicit overrides (CLI flags).
 The file format is flat ``key = value`` lines with ``#`` comments; every
 key must match a known field, and values read from text are converted to
-the field's type.
+the field's type.  Override values that are not text are passed on
+unconverted.
 
 A `ScenarioConfig` checks itself when it is built and is frozen, so every
 path crosses the same checks: the constructor, `dataclasses.replace`,
@@ -100,23 +101,32 @@ class ScenarioConfig:
                 raise ValueError(f"configuration error: '{f.name}' must be {bound}")
         if self.deec_advanced_fraction + self.deec_super_fraction > 1.0:
             raise ValueError("configuration error: tier fractions must sum to <= 1")
-        ProtocolKind.parse(self.protocol)
-        SinkMode.parse(self.sink)
+        for key, names in (("protocol", ProtocolKind), ("sink", SinkMode)):
+            try:
+                names.parse(getattr(self, key))
+            except ValueError as exc:
+                known = ", ".join(name.name.lower() for name in names)
+                raise ValueError(
+                    f"configuration error: '{key}' must name one of {known} ({exc})"
+                ) from None
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(ScenarioConfig)}
 
 
 def _coerce(key: str, raw) -> object:
+    """A value read as text, converted to the field's type.  Any other value
+    is returned unchanged, for the constructor to accept or reject."""
+    if not isinstance(raw, str):
+        return raw
     field = _FIELDS[key]
-    if isinstance(raw, str):
-        raw = raw.strip()
+    raw = raw.strip()
     try:
         if field.type == "int":
-            return int(str(raw), 10)
+            return int(raw, 10)
         if field.type == "float":
             return float(raw)
-        return str(raw)
+        return raw
     except ValueError:
         raise ValueError(
             f"configuration error: invalid value {raw!r} for key '{key}'"

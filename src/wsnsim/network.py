@@ -3,6 +3,10 @@
 State is held as parallel arrays indexed by node id.  A node is alive
 exactly while its residual energy is positive; death is permanent because
 every charge path floors at zero and skips dead nodes.
+
+Runs of equal size can be stacked into one population (`stack`): run r's
+node i becomes node r*N + i, so the runs occupy disjoint id ranges and
+elementwise work over the stack is the same work done per run.
 """
 from __future__ import annotations
 
@@ -39,10 +43,19 @@ class NodeState:
     last_transmitted: float  # NaN until the node first transmits
 
 
+# the per-node arrays of a NetworkState
+_NODE_ARRAYS = ("x", "y", "tier", "energy_factor", "initial_energy",
+                "residual", "sensed", "last_tx")
+
+
 class NetworkState:
-    """Array-backed population of sensor nodes on a square field."""
+    """Array-backed population of sensor nodes on a square field.
+
+    `runs` is the number of equal runs stacked into it (see `stack`).
+    """
 
     def __init__(self, x, y, tier, energy_factor, initial_energy, field_m):
+        self.runs = 1
         self.x = x
         self.y = y
         self.tier = tier
@@ -57,6 +70,11 @@ class NetworkState:
     @property
     def n(self) -> int:
         return self.x.shape[0]
+
+    @property
+    def run_size(self) -> int:
+        """Nodes per stacked run."""
+        return self.x.shape[0] // self.runs
 
     @property
     def alive_mask(self) -> np.ndarray:
@@ -127,13 +145,35 @@ def deploy(
     return NetworkState(x, y, tier, factor, initial, field_m)
 
 
-def sense_environment(net: NetworkState, rng: np.random.Generator) -> None:
-    """Draw a fresh uniform reading on [SENSED_MIN, SENSED_MAX] per alive node.
+def stack(nets: list[NetworkState]) -> NetworkState:
+    """The runs `nets`, all of one size on one field, as one population.
 
-    One uniform is drawn per node id (dead nodes' draws are discarded) so
-    the stream position never depends on the death pattern.
+    Run r's node i is node r*N + i of the stack.  Every array of each run is
+    rebound to its slice of the stack's array, so a run keeps reading its
+    own nodes while the stack is stepped.  A single run is its own stack.
     """
-    u = rng.random(net.n)
+    if len(nets) == 1:
+        return nets[0]
+    size = nets[0].n
+    whole = {name: np.concatenate([getattr(net, name) for net in nets])
+             for name in _NODE_ARRAYS}
+    out = NetworkState(whole["x"], whole["y"], whole["tier"], whole["energy_factor"],
+                       whole["initial_energy"], nets[0].field_m)
+    out.runs = len(nets)
+    for name, array in whole.items():
+        setattr(out, name, array)
+        for r, net in enumerate(nets):
+            setattr(net, name, array[r * size:(r + 1) * size])
+    return out
+
+
+def sense_environment(net: NetworkState, u: np.ndarray) -> None:
+    """Turn one uniform draw per node id into a reading on
+    [SENSED_MIN, SENSED_MAX] for every alive node.
+
+    Dead nodes' draws are discarded, so a run's stream position never
+    depends on its death pattern.
+    """
     vals = SENSED_MIN + (SENSED_MAX - SENSED_MIN) * u
     alive = net.residual > 0.0
     net.sensed[alive] = vals[alive]

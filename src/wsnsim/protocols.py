@@ -4,6 +4,11 @@ Pure election mathematics lives here (thresholds, eligibility epochs,
 energy-weighted probabilities, layer promotion and the tier walk,
 timer-based cover); the steady-state data plane that spends energy is
 in ``engine``.
+
+Every rule takes a `NetworkState` that may stack several runs (see
+`network.stack`).  Elementwise rules need nothing more; the rest keep to
+each run's own nodes: DEEC's population terms, CAMP-TEEN's timer order
+and cover, and the nearest next-tier head.
 """
 from __future__ import annotations
 
@@ -170,20 +175,23 @@ def deec_probabilities(
     Two-level form splits normal/advanced nodes via the population's
     advanced fraction; the multi-level form weights each node by its own
     (1 + a_i) against the population total.  Clamped to [0, 1]; dead
-    nodes get 0.
+    nodes get 0.  Arrays of shape (R, N) hold R populations, one per row,
+    each weighed against its own totals; `avg_energy` may then hold one
+    value per row, shaped (R, 1).
     """
-    if avg_energy <= 0.0:
+    if (np.asarray(avg_energy) <= 0.0).any():
         raise ValueError("avg_energy must be positive")
     if not 0.0 < p_opt <= 1.0:
         raise ValueError("p_opt must be in (0, 1]")
-    n = residual.shape[0]
+    n = residual.shape[-1]
     if multi_level:
-        weight = n * (1.0 + energy_factor) / (n + energy_factor.sum())
+        weight = n * (1.0 + energy_factor) / (n + energy_factor.sum(axis=-1, keepdims=True))
     else:
         adv = energy_factor > 0.0
-        m_frac = np.count_nonzero(adv) / n
-        a = float(energy_factor[adv][0]) if m_frac > 0.0 else 0.0
-        weight = np.where(adv, 1.0 + a, 1.0) / (1.0 + a * m_frac)
+        count = np.count_nonzero(adv, axis=-1, keepdims=True)
+        first = np.take_along_axis(energy_factor, np.argmax(adv, axis=-1, keepdims=True), -1)
+        a = np.where(count > 0, first, 0.0)
+        weight = np.where(adv, 1.0 + a, 1.0) / (1.0 + a * (count / n))
     p = p_opt * weight * residual / avg_energy
     p[residual <= 0.0] = 0.0
     return np.clip(p, 0.0, 1.0)
@@ -229,18 +237,27 @@ def deec_elect_chs(
 ) -> np.ndarray:
     """Energy-weighted threshold election; returns elected ids (ascending).
 
-    When the announced average has decayed to zero the probabilities
-    saturate at 1 (their limiting value), so surviving nodes keep electing
-    instead of stalling.
+    `avg_energy` is the announced average, one for every run of `net` or
+    one per run.  When a run's average has decayed to zero its
+    probabilities saturate at 1 (their limiting value), so surviving nodes
+    keep electing instead of stalling.
     """
     alive = net.residual > 0.0
-    if avg_energy > 0.0:
-        p = deec_probabilities(
-            net.residual, net.energy_factor, avg_energy, cfg.p_opt,
-            multi_level=cfg.super_fraction > 0.0,
-        )
+    residual = net.residual.reshape(net.runs, -1)
+    avg = np.asarray(avg_energy, np.float64).reshape(-1, 1)
+    live = avg > 0.0
+
+    def weighted(announced):
+        return deec_probabilities(residual, net.energy_factor.reshape(net.runs, -1),
+                                  announced, cfg.p_opt, multi_level=cfg.super_fraction > 0.0)
+
+    if live.all():
+        p = weighted(avg)
     else:
-        p = np.where(alive, 1.0, 0.0)
+        p = np.where(residual > 0.0, 1.0, 0.0)
+        if live.any():
+            p = np.where(live, weighted(np.where(live, avg, 1.0)), p)
+    p = p.reshape(-1)
     elig.start_round(rnd, p)
     with np.errstate(divide="ignore"):
         ep = np.maximum(np.floor(1.0 / np.maximum(p, 1e-300)), 1.0)
@@ -305,6 +322,7 @@ def hteen_build_hierarchy(
     single tier, so all of its heads target the sink.
     """
     hops = []
+    size = net.run_size
     for ids, up in zip(tiers, tiers[1:] + [np.empty(0, np.int64)]):
         promoted = np.zeros(net.n, np.bool_)
         promoted[up] = True
@@ -315,13 +333,37 @@ def hteen_build_hierarchy(
         targets = np.full(senders.size, -1, np.int64)
         if up.size:
             relay = tx_d2 > direct_r2
+            if net.runs > 1:  # a run whose next tier is empty sends to the sink
+                relay &= np.bincount(up // size, minlength=net.runs)[senders // size] > 0
             via = senders[relay]
-            idx, d2up = _kernels.nearest_site(
-                net.x[via], net.y[via], net.x[up], net.y[up])
+            idx, d2up = nearest_in_run(net, via, up)
             targets[relay] = up[idx]
             tx_d2[relay] = d2up
         hops.append((senders, targets, tx_d2))
     return hops
+
+
+def nearest_in_run(net: NetworkState, points: np.ndarray, sites: np.ndarray):
+    """`_kernels.nearest_site` for node ids `points` among node ids `sites`,
+    each point searching only the sites of its own run.
+
+    Both id arrays are ascending, and every run with a point has a site.
+    Returns (index into `sites`, squared distance) per point.
+    """
+    x, y = net.x, net.y
+    if net.runs == 1:
+        return _kernels.nearest_site(x[points], y[points], x[sites], y[sites])
+    bounds = np.arange(net.runs + 1) * net.run_size
+    pcut = np.searchsorted(points, bounds).tolist()
+    scut = np.searchsorted(sites, bounds).tolist()
+    px, py, sx, sy = x[points], y[points], x[sites], y[sites]
+    idx = np.empty(points.size, np.int64)
+    d2 = np.empty(points.size)
+    for a, b, s0, s1 in zip(pcut, pcut[1:], scut, scut[1:]):
+        if a < b:
+            i, d2[a:b] = _kernels.nearest_site(px[a:b], py[a:b], sx[s0:s1], sy[s0:s1])
+            idx[a:b] = i + s0
+    return idx, d2
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +379,23 @@ def campteen_elect_chs(
     residual over its initial energy, so richer nodes fire earlier.  Nodes
     fire by ascending timer (ties by id); a node out of range of
     every elected head becomes one and captures its uncovered neighbours.
+    Each run of `net` is ordered and covered on its own.
     Returns (head ids ascending, ch_of array with -1 for dead nodes).
     """
     alive = net.residual > 0.0
     e_norm = np.where(alive, net.residual / net.initial_energy, 1.0)
     timer = cfg.timer_k / e_norm - alpha
-    timer = np.where(alive, timer, np.inf)
-    order = np.argsort(timer, kind="stable").astype(np.int64)
-    order = order[np.isfinite(timer[order])]
-    ch_of = _kernels.greedy_cover(
-        order, net.x, net.y, ~alive, cfg.comm_range_m * cfg.comm_range_m
-    )
+    timer = np.where(alive, timer, np.inf).reshape(net.runs, -1)
+    # dead nodes' infinite timers sort last, after the finite ones
+    orders = np.argsort(timer, axis=1, kind="stable").astype(np.int64)
+    finite = np.count_nonzero(np.isfinite(timer), axis=1).tolist()
+    size = net.run_size
+    ch_of = np.full(net.n, -1, np.int64)
+    for r, k in enumerate(finite):
+        if k:
+            lo, hi = r * size, (r + 1) * size
+            cover = _kernels.greedy_cover(orders[r, :k], net.x[lo:hi], net.y[lo:hi],
+                                          ~alive[lo:hi], cfg.comm_range_m * cfg.comm_range_m)
+            ch_of[lo:hi] = np.where(cover < 0, -1, cover + lo)
     ids = np.where(ch_of == np.arange(net.n))[0].astype(np.int64)
     return ids, ch_of

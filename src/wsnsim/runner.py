@@ -2,9 +2,10 @@
 
 Each run gets its own generator seeded from (seed, protocol, sink mode),
 so runs never share or reorder random draws and any single combination
-can be reproduced in isolation.  That also lets `run_matrix` hand its
-runs to forked worker processes and still write the bytes a serial
-sweep writes.
+can be reproduced in isolation.  That lets one engine step several seeds
+of the same protocol and sink as one batch (see `engine`), and lets
+`run_matrix` hand its batches to forked worker processes, and still
+write the bytes that one run at a time writes.
 """
 from __future__ import annotations
 
@@ -49,22 +50,37 @@ def run_scenario(
     checked by the same rules.
     """
     kind, mode, run_seed = _combination(cfg, protocol, sink, seed)
-    rng = np.random.default_rng([run_seed, int(kind), int(mode)])
+    return _run_seeds(cfg, kind, mode, [run_seed])[0]
+
+
+def _run_seeds(cfg: ScenarioConfig, kind: ProtocolKind, mode: SinkMode,
+               seeds: list[int]) -> list[RunResult]:
+    """Simulate one protocol and sink for each seed, all seeds as one batch.
+
+    Module-level, so a pool can submit it by name: `run_scenario` may be
+    rebound to a wrapper (a tracer's) that does not pickle.
+    """
+    rngs = [np.random.default_rng([seed, int(kind), int(mode)]) for seed in seeds]
     pcfg = protocol_config(cfg, kind)
-    net = deploy(
-        cfg.nodes, cfg.field_m, cfg.initial_energy_j, rng,
-        advanced_fraction=pcfg.advanced_fraction,
-        advanced_factor=pcfg.advanced_factor,
-        super_fraction=pcfg.super_fraction,
-        super_factor=pcfg.super_factor,
-    )
+    nets = [
+        deploy(
+            cfg.nodes, cfg.field_m, cfg.initial_energy_j, rng,
+            advanced_fraction=pcfg.advanced_fraction,
+            advanced_factor=pcfg.advanced_factor,
+            super_fraction=pcfg.super_fraction,
+            super_factor=pcfg.super_factor,
+        )
+        for rng in rngs
+    ]
     sinkst = SinkState(mode, cfg.field_m, cfg.sink_step_m, cfg.sink_pause_rounds)
-    eng = Engine(kind, pcfg, energy_params(cfg), net)
-    hist = RunHistory()
+    eng = Engine(kind, pcfg, energy_params(cfg), nets)
+    hists = [RunHistory() for _ in seeds]
     for rnd in range(cfg.rounds):
-        hist.record_round(eng.step(net, sinkst, rnd, rng))
-    summary = summarize(hist, kind.name.lower(), mode.name.lower(), run_seed)
-    return RunResult(kind, mode, run_seed, hist, summary, net)
+        for hist, metrics in zip(hists, eng.step(sinkst, rnd, rngs)):
+            hist.record_round(metrics)
+    protocol, sink = kind.name.lower(), mode.name.lower()
+    return [RunResult(kind, mode, seed, hist, summarize(hist, protocol, sink, seed), net)
+            for seed, hist, net in zip(seeds, hists, nets)]
 
 
 _AXES = ("protocol", "sink", "seed")
@@ -100,13 +116,6 @@ def artifact_name(kind: ProtocolKind, mode: SinkMode, seed: int) -> str:
     return f"{kind.name.lower()}_{mode.name.lower()}_seed{seed}.csv"
 
 
-def _run_combo(cfg: ScenarioConfig, kind: ProtocolKind, mode: SinkMode,
-               seed: int) -> RunResult:
-    # what the pool submits: a module-level function pickles by name, while
-    # run_scenario may be rebound to a wrapper (a tracer's) that does not
-    return run_scenario(cfg, kind, mode, seed)
-
-
 def _worker_count(runs: int) -> int:
     """Worker processes for `runs` runs: min(usable CPUs, runs), 1 without fork."""
     if not hasattr(os, "fork"):
@@ -125,31 +134,34 @@ def run_matrix(
     seeds=None,
     out_dir=None,
 ) -> list[RunResult]:
-    """Run every combination in lexicographic (protocol, sink, seed) order.
+    """Run every combination; results come in lexicographic (protocol,
+    sink, seed) order.
 
-    Runs go to min(usable CPUs, runs) worker processes started with fork;
-    results come back in combination order, so the output is byte-identical
-    to a serial sweep.  With one usable CPU (pin the process, for example
-    with `taskset -c 0`), one run, or no fork on the platform, the runs are
-    made one after another in this process.
+    The seeds of each (protocol, sink) are stepped in batches (see
+    `engine`): each is split into ceil(workers / (protocol, sink) pairs)
+    batches of consecutive seeds, where workers is min(usable CPUs, runs).
+    With more than one worker the batches go to that many worker processes
+    started with fork, and come back in order, so the output is
+    byte-identical to running one combination at a time.  With one usable
+    CPU (pin the process, for example with `taskset -c 0`), one run, or no
+    fork on the platform, each pair is one batch, run in this process.
 
     Every protocol, sink and seed is checked by the config's rules before
     the first run; an empty list or a repeated entry is an error too.
     With `out_dir` set, writes one CSV per run plus a joint summary file.
-    A failing run aborts the whole matrix, naming the first failing
-    combination in that order.
+    A failing run aborts the whole matrix, naming the first combination of
+    the first failing batch in that order.
     """
     kinds = _axis(cfg, "protocol", ProtocolKind if protocols is None else protocols)
     modes = _axis(cfg, "sink", SinkMode if sinks is None else sinks)
-    seed_list = _axis(cfg, "seed", [cfg.seed] if seeds is None else seeds)
+    seed_list = sorted(_axis(cfg, "seed", [cfg.seed] if seeds is None else seeds))
 
-    combos = sorted(
-        ((k, m, s) for k in kinds for m in modes for s in seed_list),
-        key=lambda t: (t[0].name, t[1].name, t[2]),
-    )
-    workers = _worker_count(len(combos))
+    pairs = sorted(((k, m) for k in kinds for m in modes),
+                   key=lambda t: (t[0].name, t[1].name))
+    workers = _worker_count(len(pairs) * len(seed_list))
+    batches = _batches(pairs, seed_list, workers)
     if workers == 1:
-        results = _collect(combos, [partial(run_scenario, cfg, *c) for c in combos])
+        results = _collect(batches, [partial(_run_seeds, cfg, *b) for b in batches])
     else:
         # imported here: they cost 20-30 ms, which a serial sweep need not pay
         import multiprocessing
@@ -159,14 +171,14 @@ def run_matrix(
         # and numba's compiled kernels instead of importing and compiling anew
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            futures = [pool.submit(_run_combo, cfg, *c) for c in combos]
+            futures = [pool.submit(_run_seeds, cfg, *b) for b in batches]
             try:
-                results = _collect(combos, [f.result for f in futures])
+                results = _collect(batches, [f.result for f in futures])
             finally:
-                # after a failure, drop the runs not yet started; leaving the
-                # block waits for the running ones, so no worker outlives the
-                # call.  (shutdown's cancel_futures can hang on Python 3.11
-                # when a call fails to pickle.)
+                # after a failure, drop the batches not yet started; leaving
+                # the block waits for the running ones, so no worker outlives
+                # the call.  (shutdown's cancel_futures can hang on Python
+                # 3.11 when a call fails to pickle.)
                 for f in futures:
                     f.cancel()
 
@@ -180,15 +192,24 @@ def run_matrix(
     return results
 
 
-def _collect(combos, calls) -> list[RunResult]:
-    """Call each combination's run in order; the first failure names its combination."""
+def _batches(pairs, seeds, workers) -> list[tuple[ProtocolKind, SinkMode, list[int]]]:
+    """Each (protocol, sink) pair with its seeds, split into
+    ceil(workers / pairs) batches of consecutive seeds, in order."""
+    parts = -(-workers // len(pairs))
+    cuts = [len(seeds) * i // parts for i in range(parts + 1)]
+    return [(kind, mode, seeds[a:b]) for kind, mode in pairs for a, b in zip(cuts, cuts[1:])]
+
+
+def _collect(batches, calls) -> list[RunResult]:
+    """Call each batch in order; the first failure names its batch's first
+    combination."""
     results: list[RunResult] = []
-    for (kind, mode, seed), call in zip(combos, calls):
+    for (kind, mode, seeds), call in zip(batches, calls):
         try:
-            results.append(call())
+            results.extend(call())
         except Exception as exc:
             raise RuntimeError(
                 f"run failed for protocol={kind.name.lower()} "
-                f"sink={mode.name.lower()} seed={seed}: {exc}"
+                f"sink={mode.name.lower()} seed={seeds[0]}: {exc}"
             ) from exc
     return results

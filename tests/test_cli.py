@@ -32,7 +32,8 @@ def test_run_honors_config_file_and_overrides(tmp_path, capsys):
 def test_run_unknown_protocol_is_usage_error(capsys):
     code = main(["run", "--protocol", "flooding", "--rounds", "5"])
     assert code == 2
-    assert "unknown protocol" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error: 'protocol'" in err and "unknown protocol" in err
 
 
 def test_run_bad_override_is_usage_error(capsys):
@@ -65,6 +66,9 @@ def test_run_non_finite_value_is_usage_error(override, capsys):
     (["compare", "--seeds", "1,1"], "seed"),
     (["compare", "--seeds", ","], "seed"),
     (["compare", "--protocols", "leach,LEACH"], "protocol"),
+    (["compare", "--protocols", "leach,flooding"], "protocol"),
+    (["compare", "--sinks", "orbit"], "sink"),
+    (["run", "--sink", "orbit"], "sink"),
 ], ids=lambda p: " ".join(p) if isinstance(p, list) else p)
 def test_bad_run_selection_is_usage_error(argv, key, tmp_path, capsys):
     out = tmp_path / "cmp"

@@ -12,6 +12,8 @@ from wsnsim import (
     parse_config,
     parse_config_text,
     protocol_config,
+    run_matrix,
+    run_scenario,
 )
 
 
@@ -103,7 +105,7 @@ def test_validation_failures_name_the_key():
         parse_config(None, {"p_opt": "1.7"})
     with pytest.raises(ValueError, match="'rounds'"):
         parse_config(None, {"rounds": "0"})
-    with pytest.raises(ValueError, match="unknown protocol"):
+    with pytest.raises(ValueError, match="configuration error: 'protocol' .*unknown protocol"):
         parse_config(None, {"protocol": "gossip"})
     with pytest.raises(ValueError, match="tier fractions must sum to <= 1"):
         parse_config(None, {"deec_advanced_fraction": "0.6", "deec_super_fraction": "0.5"})
@@ -143,3 +145,31 @@ def test_fingerprint_tracks_values():
     assert a == b
     assert a != c
     assert len(a) == 12
+
+
+@pytest.mark.parametrize("key, value", [("protocol", "flooding"), ("sink", "orbit")])
+def test_unknown_names_rejected_by_key(key, value):
+    # every path that takes a protocol or sink name: the constructor, the
+    # config parser, a single run and a sweep
+    cfg = ScenarioConfig(rounds=5)
+    want = f"^configuration error: '{key}' must name one of "
+    with pytest.raises(ValueError, match=want):
+        ScenarioConfig(**{key: value})
+    with pytest.raises(ValueError, match=want):
+        parse_config(None, {key: value})
+    with pytest.raises(ValueError, match=want):
+        run_scenario(cfg, **{key: value})
+    with pytest.raises(ValueError, match=want):
+        run_matrix(cfg, **{key + "s": ["leach" if key == "protocol" else "mobile_top", value]})
+
+
+def test_overrides_that_are_not_text_are_not_converted():
+    # text is converted to the field's type; any other value reaches the
+    # constructor as given, which rejects a wrong type by key
+    for key, value in (("field_m", True), ("nodes", 100.0), ("nodes", True), ("seed", "")):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            parse_config(None, {key: value})
+    cfg = parse_config(None, {"field_m": 100, "nodes": 7, "rounds": " 12 "})
+    assert (cfg.field_m, cfg.nodes, cfg.rounds) == (100, 7, 12)
+    assert type(cfg.field_m) is int
+    assert fingerprint(cfg) == fingerprint(ScenarioConfig(field_m=100, nodes=7, rounds=12))

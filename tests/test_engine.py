@@ -14,6 +14,7 @@ from wsnsim import (
     deploy,
     run_scenario,
 )
+from wsnsim import runner
 
 
 def run_short(protocol, sink="static_center", rounds=300, seed=2, **cfg_kw):
@@ -66,14 +67,15 @@ def test_deaths_only_after_stability_period():
 def test_members_join_their_nearest_head(monkeypatch, protocol, sink):
     # The engine's own membership, read where the member phase receives it:
     # every gated non-head node is assigned the exhaustive nearest head of
-    # the bottom tier (the first head wins ties) at that head's squared
-    # distance, bit for bit, in rounds before and after nodes die.
+    # the bottom tier in its own run (the first head wins ties) at that
+    # head's squared distance, bit for bit, in rounds before and after
+    # nodes die.  Once for a run alone, once for three seeds in one batch.
     rounds = []
     elect, member_phase = Engine._elect, _kernels.member_phase
 
-    def record_heads(self, net, rnd, rng):
-        tiers, cover = elect(self, net, rnd, rng)
-        rounds.append([net, tiers[0]])
+    def record_heads(self, rnd, u):
+        tiers, cover = elect(self, rnd, u)
+        rounds.append([self.net, tiers[0]])
         return tiers, cover
 
     def record_members(gate, assign, d2ch, *rest):
@@ -82,20 +84,29 @@ def test_members_join_their_nearest_head(monkeypatch, protocol, sink):
 
     monkeypatch.setattr(Engine, "_elect", record_heads)
     monkeypatch.setattr(_kernels, "member_phase", record_members)
-    res = run_short(protocol, sink=sink, rounds=300, initial_energy_j=0.02)
-    assert res.history.dead[-1] > 0
+    cfg = ScenarioConfig(rounds=300, initial_energy_j=0.02)
+    solo = run_scenario(cfg, protocol, sink, 2)
+    batch = runner._run_seeds(cfg, ProtocolKind.parse(protocol), SinkMode.parse(sink), [2, 3, 4])
+    assert all(res.history.dead[-1] > 0 for res in [solo] + batch)
     checked = 0
     for net, heads, gate, assign, d2ch in (r for r in rounds if len(r) == 5):
+        size = net.run_size
         members = gate.copy()
         members[heads] = False
-        i = members.nonzero()[0]
-        d2 = (net.x[i, None] - net.x[heads]) ** 2 + (net.y[i, None] - net.y[heads]) ** 2
-        nearest = heads[np.argmin(d2, axis=1)]
-        assert np.array_equal(assign[i], nearest)
-        want = (net.x[i] - net.x[nearest]) ** 2 + (net.y[i] - net.y[nearest]) ** 2
-        assert d2ch[i].tobytes() == want.tobytes()
-        checked += i.size
+        for run in range(net.runs):
+            i = members.nonzero()[0]
+            i = i[i // size == run]
+            own = heads[heads // size == run]
+            if i.size == 0:
+                continue
+            d2 = (net.x[i, None] - net.x[own]) ** 2 + (net.y[i, None] - net.y[own]) ** 2
+            nearest = own[np.argmin(d2, axis=1)]
+            assert np.array_equal(assign[i], nearest)
+            want = (net.x[i] - net.x[nearest]) ** 2 + (net.y[i] - net.y[nearest]) ** 2
+            assert d2ch[i].tobytes() == want.tobytes()
+            checked += i.size
     assert checked > 0
+    assert {net.runs for net, *_ in rounds} == {1, 3}
 
 
 @pytest.mark.parametrize("protocol", ["leach", "teen", "deec", "campteen"])
@@ -132,10 +143,10 @@ def test_soft_threshold_suppresses_stagnant_readings():
 
 def test_last_transmission_tracks_sent_values():
     net = deploy(30, 100.0, 0.5, np.random.default_rng(5))
-    eng = Engine(ProtocolKind.TEEN, ProtocolConfig(), EnergyParams(), net)
+    eng = Engine(ProtocolKind.TEEN, ProtocolConfig(), EnergyParams(), [net])
     sinkst = SinkState(SinkMode.STATIC_CENTER, 100.0)
     rng = np.random.default_rng(6)
-    eng.step(net, sinkst, 0, rng)
+    eng.step(sinkst, 0, [rng])
     reported = ~np.isnan(net.last_tx)
     assert reported.any()
     # whoever reported stored exactly the value they sensed this round
@@ -202,3 +213,22 @@ def test_heterogeneous_deployment_only_for_energy_aware():
     for proto in ("leach", "teen", "hteen", "campteen"):
         res = run_short(proto, rounds=5)
         assert res.network.e_total == pytest.approx(50.0)
+
+
+@pytest.mark.parametrize("kind, stages", [
+    (ProtocolKind.LEACH, 2), (ProtocolKind.CAMPTEEN, 2), (ProtocolKind.HTEEN, 4)])
+def test_draws_per_round_do_not_depend_on_deaths(kind, stages):
+    # A round takes one draw per node id and stage (sensing, then each
+    # election stage) from a run's generator while any of its nodes lives,
+    # dead or not, and none once all are dead; the other runs of the batch
+    # keep their streams.
+    nets = [deploy(30, 100.0, 0.5, np.random.default_rng(s)) for s in (5, 6, 7)]
+    nets[0].residual[::2] = 0.0   # half dead
+    nets[1].residual[:] = 0.0     # extinct
+    eng = Engine(kind, ProtocolConfig(), EnergyParams(), nets)
+    rngs = [np.random.default_rng(s) for s in (8, 9, 10)]
+    eng.step(SinkState(SinkMode.STATIC_CENTER, 100.0), 0, rngs)
+    for rng, seed, drawn in zip(rngs, (8, 9, 10), (stages, 0, stages)):
+        fresh = np.random.default_rng(seed)
+        fresh.random(drawn * 30)
+        assert rng.random() == fresh.random()

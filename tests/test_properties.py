@@ -65,3 +65,23 @@ def test_equal_seeds_give_byte_equal_traces(case):
                 write_csv(run_scenario(cfg, proto, sink, seed).history, path)
                 traces.append(path.read_bytes())
             assert traces[0] == traces[1], proto
+
+
+# Row lengths that are odd or not a power of two, around numpy's pairwise
+# summation blocks (8-way unrolled, 128 per block), and one large.
+ROW_SIZES = st.sampled_from([1, 3, 7, 9, 15, 100, 127, 129, 255, 257, 384, 1000, 1023, 4097])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(runs=st.integers(1, 12), n=ROW_SIZES, seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(1e-12, 1e3))
+def test_per_run_sums_of_a_stack_equal_each_runs_own_sum(runs, n, seed, spread):
+    # The engine takes each run's energy total as a row sum of the stacked
+    # residuals; the trace needs it bitwise equal to summing that run's
+    # slice on its own, as a run alone does.
+    rng = np.random.default_rng(seed)
+    a = rng.random(runs * n) * spread
+    a[rng.random(runs * n) < 0.3] = 0.0  # dead nodes
+    rows = a.reshape(runs, n).sum(axis=1)
+    for r in range(runs):
+        assert rows[r].tobytes() == a[r * n:(r + 1) * n].sum().tobytes()

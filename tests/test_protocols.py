@@ -5,6 +5,8 @@ standalone arithmetic and frozen; structural properties (epoch
 completeness, tier nesting, cover independence) are checked over seeded
 random instances.
 """
+import copy
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +33,7 @@ from wsnsim import (
     teen_gate_mask,
     teen_should_transmit,
 )
+from wsnsim.network import stack
 
 
 def small_net(seed=2, n=100):
@@ -197,6 +200,38 @@ def test_deec_probabilities_dead_nodes_zero():
     resid[3] = 0.0
     p = deec_probabilities(resid, np.zeros(10), 0.5, 0.1, False)
     assert p[3] == 0.0
+
+
+def test_deec_weighs_each_stacked_run_against_its_own_population():
+    # Stacked runs with different tier mixes and announced averages (one of
+    # them decayed to zero): each row of the probabilities, and each run's
+    # heads, equal the run's own, bit for bit.  A total over the whole
+    # stack would weigh every run against the others' nodes.
+    rng = np.random.default_rng(12)
+    mixes = ((0.2, 0.3), (0.5, 0.1), (0.1, 0.6))
+    nets = [deploy(40, 100.0, 0.5, rng, advanced_fraction=a, advanced_factor=0.3,
+                   super_fraction=s, super_factor=1.7) for a, s in mixes]
+    for net in nets:
+        net.residual *= rng.uniform(0.0, 1.0, net.n)
+    res = np.array([net.residual for net in nets])
+    factors = np.array([net.energy_factor for net in nets])
+    avg = np.array([0.21, 0.37, 0.05])
+    for multi in (True, False):
+        rows = deec_probabilities(res, factors, avg[:, None], 0.1, multi)
+        for r in range(3):
+            want = deec_probabilities(res[r], factors[r], avg[r], 0.1, multi)
+            assert rows[r].tobytes() == want.tobytes()
+    for super_fraction, avg_now in itertools.product((0.3, 0.0), ([0.21, 0.37, 0.05],
+                                                                 [0.21, 0.0, 0.05])):
+        cfg = ProtocolConfig(p_opt=0.1, super_fraction=super_fraction)
+        u = rng.random(120)
+        solo = [deec_elect_chs(copy.deepcopy(net), cfg, DeecEligibility(40), 7, a,
+                               u[40 * r:40 * (r + 1)]) + 40 * r
+                for r, (net, a) in enumerate(zip(nets, avg_now))]
+        stacked = stack([copy.deepcopy(net) for net in nets])
+        ids = deec_elect_chs(stacked, cfg, DeecEligibility(120), 7, avg_now, u)
+        assert np.array_equal(ids, np.concatenate(solo))
+        assert len(solo[1]) > 0 and len(ids) > len(solo[1])
 
 
 def test_deec_richer_nodes_elect_more_often():

@@ -1,6 +1,8 @@
 """Matrix sweeps: ordering, artifacts, reproducibility, failure naming,
-and the worker pool against the serial path."""
+the worker pool against the serial path, and batches of seeds against
+each seed run alone."""
 import concurrent.futures
+import dataclasses
 import multiprocessing
 import os
 import subprocess
@@ -17,6 +19,7 @@ from wsnsim.runner import artifact_name
 
 
 CFG = ScenarioConfig(rounds=30)
+SINKS = ["static_center", "static_top", "mobile_top"]
 
 
 def pin_cpus(monkeypatch, count):
@@ -170,3 +173,74 @@ def test_seed_isolation_between_runs():
     teen = [r for r in swept if r.summary.protocol == "teen"][0]
     for i in range(30):
         assert solo.history.row(i) == teen.history.row(i)
+
+
+# Small, short-lived networks: within the horizon every (protocol, sink)
+# has rounds in which one seed's network is extinct while another's still
+# lives, and every protocol but CAMP-TEEN has live rounds without a head.
+ORACLE_CFG = ScenarioConfig(nodes=15, rounds=150, initial_energy_j=0.004,
+                            camp_hard_threshold=100.0, hteen_hard_threshold=100.0)
+ORACLE_SEEDS = [1, 2, 3, 4, 5]  # not a power of two: batch totals do not scale exactly
+ORACLE_CASES = [(ORACLE_CFG, p) for p in ("leach", "teen", "deec", "hteen", "campteen")] + [
+    # DEEC's weights use each run's own population totals: the multi-level
+    # form (super nodes) and the two-level form.  Factors that are not
+    # integers make a total over the whole batch round differently.
+    (dataclasses.replace(ORACLE_CFG, deec_super_fraction=0.3, deec_super_factor=1.7,
+                         deec_advanced_factor=0.3), "deec"),
+    (dataclasses.replace(ORACLE_CFG, deec_super_fraction=0.0, deec_advanced_factor=0.3),
+     "deec"),
+]
+
+
+@pytest.mark.parametrize("backend", sorted(wsnsim.BACKENDS))
+@pytest.mark.parametrize("cfg, protocol", ORACLE_CASES)
+def test_batched_matrix_matches_solo_runs(monkeypatch, backend, cfg, protocol):
+    # On one CPU, run_matrix steps each sink's seeds as one batch; every run
+    # must equal the same seed run alone on the numpy fallback, row for row
+    # and in its final residual bytes, on every installed backend.
+    batches = []
+
+    class Recorded(runner.Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(self.runs)
+
+    wsnsim.use_backend("python")
+    solo = {(sink, seed): run_scenario(cfg, protocol, sink, seed)
+            for sink in SINKS for seed in ORACLE_SEEDS}
+    wsnsim.use_backend(backend)
+    pin_cpus(monkeypatch, 1)
+    monkeypatch.setattr(runner, "Engine", Recorded)
+    swept = run_matrix(cfg, [protocol], SINKS, ORACLE_SEEDS)
+    assert batches == [len(ORACLE_SEEDS)] * len(SINKS)
+    assert len(swept) == len(solo)
+    for res in swept:
+        want = solo[(res.summary.sink, res.seed)]
+        for i in range(cfg.rounds):
+            assert res.history.row(i) == want.history.row(i), (res.summary, i)
+        assert res.network.residual.tobytes() == want.network.residual.tobytes()
+        assert res.network.e_total == want.network.e_total
+    for sink in SINKS:
+        alive = np.array([solo[(sink, s)].history.alive for s in ORACLE_SEEDS])
+        heads = np.array([solo[(sink, s)].history.ch_count for s in ORACLE_SEEDS])
+        assert np.any((alive == 0).any(axis=0) & (alive > 0).any(axis=0)), sink
+        if protocol != "campteen":  # a live CAMP-TEEN network always covers itself
+            assert np.any((heads == 0) & (alive > 0)), sink
+
+
+@pytest.mark.parametrize("pairs, seeds, workers, sizes", [
+    (10, [1, 2], 2, [2] * 10),            # the benchmark's paper sweep
+    (10, list(range(1, 11)), 2, [10] * 10),  # the acceptance sweep
+    (10, [1, 2, 3], 1, [3] * 10),          # serial: one batch per pair
+    (1, [1, 2, 3], 3, [1, 1, 1]),
+    (1, [1, 2, 3, 4, 5], 2, [2, 3]),
+    (2, [1, 2, 3, 4, 5], 3, [2, 3, 2, 3]),  # ceil(3 / 2) = 2 batches per pair
+])
+def test_matrix_batches_seeds_per_pair(pairs, seeds, workers, sizes):
+    # each pair's seeds, in ceil(workers / pairs) batches of consecutive
+    # seeds: every run once, in combination order
+    combos = [(k, m) for k in wsnsim.ProtocolKind for m in wsnsim.SinkMode][:pairs]
+    batches = runner._batches(combos, seeds, workers)
+    assert [len(b) for _, _, b in batches] == sizes
+    assert [(k, m, s) for k, m, b in batches for s in b] == [
+        (k, m, s) for k, m in combos for s in seeds]
