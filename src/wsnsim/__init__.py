@@ -13,15 +13,7 @@ from .config import (
     parse_config_text,
     protocol_config,
 )
-from .energy import (
-    EnergyParams,
-    aggregation_energy,
-    expected_round_energy,
-    optimal_cluster_count,
-    relay_beneficial,
-    rx_energy,
-    tx_energy,
-)
+from .energy import EnergyParams, expected_round_energy
 from .engine import Engine
 from .metrics import (
     CSV_HEADER,
@@ -36,7 +28,7 @@ from .metrics import (
     write_csv,
     write_summary,
 )
-from .network import NetworkState, NodeTier, assign_clusters, deploy, sense_environment
+from .network import NetworkState, NodeTier, deploy, sense_environment
 from .protocols import (
     DeecEligibility,
     EpochTracker,
@@ -46,18 +38,15 @@ from .protocols import (
     deec_average_energy,
     deec_elect_chs,
     deec_lifetime_estimate,
-    deec_p_i,
     deec_probabilities,
     epoch_length,
     hteen_build_hierarchy,
     hteen_promote_layers,
     leach_elect_chs,
-    leach_threshold,
     teen_gate_mask,
-    teen_should_transmit,
 )
 from .runner import RunResult, run_matrix, run_scenario
-from .sink import SinkMode, SinkState, collection_distance, sink_position
+from .sink import SinkMode, SinkState, sink_position
 
 __version__ = "0.1.0"
 
@@ -79,15 +68,11 @@ __all__ = [
     "ScenarioConfig",
     "SinkMode",
     "SinkState",
-    "aggregation_energy",
-    "assign_clusters",
     "campteen_elect_chs",
-    "collection_distance",
     "current_backend",
     "deec_average_energy",
     "deec_elect_chs",
     "deec_lifetime_estimate",
-    "deec_p_i",
     "deec_probabilities",
     "default_backend",
     "deploy",
@@ -98,25 +83,19 @@ __all__ = [
     "hteen_build_hierarchy",
     "hteen_promote_layers",
     "leach_elect_chs",
-    "leach_threshold",
     "lifetime_round",
-    "optimal_cluster_count",
     "parse_config",
     "parse_config_text",
     "protocol_config",
     "read_csv",
     "read_summary",
-    "relay_beneficial",
     "run_matrix",
     "run_scenario",
-    "rx_energy",
     "sense_environment",
     "sink_position",
     "stability_period",
     "summarize",
     "teen_gate_mask",
-    "teen_should_transmit",
-    "tx_energy",
     "use_backend",
     "warmup",
     "write_csv",

@@ -1,8 +1,10 @@
-"""Node population state: deployment, energy bookkeeping, sensing, clusters.
+"""Node population state: deployment, stacking and sensing.
 
 State is held as parallel arrays indexed by node id.  A node is alive
 exactly while its residual energy is positive; death is permanent because
-every charge path floors at zero and skips dead nodes.
+every charge path (the charging kernels in `_kernels`) floors at zero and
+skips dead nodes.  Cluster membership is found per round by the engine
+(`protocols.nearest_in_run`).
 
 Runs of equal size can be stacked into one population (`stack`): run r's
 node i becomes node r*N + i, so the runs occupy disjoint id ranges and
@@ -10,12 +12,9 @@ elementwise work over the stack is the same work done per run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-
-from . import _kernels
 
 SENSED_MIN = 0.0
 SENSED_MAX = 200.0
@@ -25,22 +24,6 @@ class NodeTier(IntEnum):
     NORMAL = 0
     ADVANCED = 1
     SUPER = 2
-
-
-@dataclass
-class NodeState:
-    """Snapshot of a single node (read-only view for inspection/tests)."""
-
-    node_id: int
-    x: float
-    y: float
-    tier: NodeTier
-    energy_factor: float
-    initial_energy: float
-    residual_energy: float
-    alive: bool
-    sensed_value: float
-    last_transmitted: float  # NaN until the node first transmits
 
 
 # the per-node arrays of a NetworkState
@@ -75,40 +58,6 @@ class NetworkState:
     def run_size(self) -> int:
         """Nodes per stacked run."""
         return self.x.shape[0] // self.runs
-
-    @property
-    def alive_mask(self) -> np.ndarray:
-        return self.residual > 0.0
-
-    def alive_count(self) -> int:
-        return int(np.count_nonzero(self.residual > 0.0))
-
-    def node(self, i: int) -> NodeState:
-        return NodeState(
-            node_id=i,
-            x=float(self.x[i]),
-            y=float(self.y[i]),
-            tier=NodeTier(int(self.tier[i])),
-            energy_factor=float(self.energy_factor[i]),
-            initial_energy=float(self.initial_energy[i]),
-            residual_energy=float(self.residual[i]),
-            alive=bool(self.residual[i] > 0.0),
-            sensed_value=float(self.sensed[i]),
-            last_transmitted=float(self.last_tx[i]),
-        )
-
-    def consume(self, i: int, amount: float) -> None:
-        """Drain `amount` joules from node `i`, flooring at zero.
-
-        Dead nodes are unaffected; a draw that meets or exceeds the
-        remaining energy kills the node.
-        """
-        if amount < 0.0:
-            raise ValueError("amount must be >= 0")
-        if self.residual[i] <= 0.0:
-            return
-        left = self.residual[i] - amount
-        self.residual[i] = left if left > 0.0 else 0.0
 
 
 def deploy(
@@ -177,25 +126,3 @@ def sense_environment(net: NetworkState, u: np.ndarray) -> None:
     vals = SENSED_MIN + (SENSED_MAX - SENSED_MIN) * u
     alive = net.residual > 0.0
     net.sensed[alive] = vals[alive]
-
-
-def assign_clusters(net: NetworkState, ch_ids) -> dict[int, int]:
-    """Map every alive non-head node to its nearest cluster head.
-
-    Distance ties break toward the head that appears first in `ch_ids`.
-    Returns {member_id: head_id}.
-    """
-    ch_ids = np.asarray(ch_ids, np.int64)
-    if ch_ids.size == 0:
-        return {}
-    if np.any(net.residual[ch_ids] <= 0.0):
-        raise ValueError("cluster heads must be alive")
-    idx, _ = _kernels.nearest_site(net.x, net.y, net.x[ch_ids], net.y[ch_ids])
-    out: dict[int, int] = {}
-    is_ch = np.zeros(net.n, np.bool_)
-    is_ch[ch_ids] = True
-    alive = net.residual > 0.0
-    for i in range(net.n):
-        if alive[i] and not is_ch[i]:
-            out[i] = int(ch_ids[idx[i]])
-    return out

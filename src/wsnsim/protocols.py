@@ -1,9 +1,12 @@
 """Cluster-head election rules for the five protocols.
 
-Pure election mathematics lives here (thresholds, eligibility epochs,
-energy-weighted probabilities, layer promotion and the tier walk,
-timer-based cover); the steady-state data plane that spends energy is
-in ``engine``.
+Each rule is written once, over the whole population, and is the code the
+engine runs: LEACH's threshold (`leach_elect_chs`), TEEN's reporting gate
+(`teen_gate_mask`), DEEC's energy-weighted probabilities and personal
+epochs, H-TEEN's layer promotion and tier walk, CAMP-TEEN's timer-based
+cover, and the nearest-head search behind both cluster membership and the
+tier walk (`nearest_in_run`).  The steady-state data plane that spends
+energy is in ``engine``.
 
 Every rule takes a `NetworkState` that may stack several runs (see
 `network.stack`).  Elementwise rules need nothing more; the rest keep to
@@ -81,30 +84,17 @@ class EpochTracker:
         self.eligible[ids] = False
 
 
-def leach_threshold(p: float, rnd: int, in_g: bool) -> float:
-    """Election threshold for a node at round `rnd`.
-
-    Zero for nodes that already served this epoch; otherwise
-    p / (1 - p * (rnd mod epoch)), clamped to [0, 1] so the epoch always
-    ends with certain election of the remainder.
-    """
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
-    if rnd < 0:
-        raise ValueError("round must be >= 0")
-    if not in_g:
-        return 0.0
-    rm = rnd % epoch_length(p)
-    denom = 1.0 - p * rm
-    if denom <= 0.0:
-        return 1.0
-    return min(p / denom, 1.0)
-
-
 def leach_elect_chs(
     net: NetworkState, p: float, tracker: EpochTracker, rnd: int, u: np.ndarray
 ) -> np.ndarray:
-    """One round of threshold election; returns elected ids (ascending)."""
+    """One round of LEACH's threshold election; returns elected ids (ascending).
+
+    A node is elected when it is alive, has not served yet in this epoch
+    (`tracker`), and its draw `u` is below the threshold
+    T = p / (1 - p * (rnd mod epoch)), capped at 1 and taken as 1 once the
+    denominator is zero or below, so the epoch's last round elects every
+    remaining node.
+    """
     tracker.start_round(rnd)
     rm = float(rnd % tracker.epoch)
     n = net.n
@@ -116,21 +106,11 @@ def leach_elect_chs(
     return ids
 
 
-def teen_should_transmit(sensed: float, last_transmitted: float, hard: float, soft: float) -> bool:
-    """Reactive gate: report only readings at/above `hard` that moved by
-    at least `soft` since the last report (first crossing always reports).
-
-    `last_transmitted` is NaN while the node has never reported.
-    """
-    if sensed < hard:
-        return False
-    if math.isnan(last_transmitted):
-        return True
-    return abs(sensed - last_transmitted) >= soft
-
-
 def teen_gate_mask(sensed, last_tx, alive, hard: float, soft: float) -> np.ndarray:
-    """Vectorized `teen_should_transmit` over the population."""
+    """TEEN's reactive gate, one flag per node: an alive node reports a
+    reading `sensed` at or above `hard` the first time (its `last_tx` is
+    NaN until it first reports), and afterwards only when the reading has
+    moved by at least `soft` from the last value it reported."""
     first = np.isnan(last_tx)
     moved = np.abs(sensed - last_tx) >= soft
     return alive & (sensed >= hard) & (first | moved)
@@ -197,31 +177,21 @@ def deec_probabilities(
     return np.clip(p, 0.0, 1.0)
 
 
-def deec_p_i(
-    residual: float, energy_factor: float, avg_energy: float, p_opt: float,
-    advanced_fraction: float = 0.0, advanced_factor: float = 0.0,
-) -> float:
-    """Two-level election probability for a single node."""
-    if avg_energy <= 0.0:
-        raise ValueError("avg_energy must be positive")
-    scale = 1.0 + advanced_factor * advanced_fraction
-    mult = (1.0 + advanced_factor) if energy_factor > 0.0 else 1.0
-    p = p_opt * mult * residual / (scale * avg_energy)
-    return min(max(p, 0.0), 1.0)
-
-
 class DeecEligibility:
     """Per-node epochs: node i re-enters the pool every floor(1/p_i) rounds."""
 
     def __init__(self, n_nodes: int):
         self.eligible = np.ones(n_nodes, np.bool_)
 
-    def start_round(self, rnd: int, p: np.ndarray) -> None:
+    def start_round(self, rnd: int, p: np.ndarray) -> np.ndarray:
+        """Re-admit the nodes whose epoch starts at `rnd`; returns every
+        node's epoch length max(floor(1/p_i), 1)."""
         with np.errstate(divide="ignore"):
             inv = np.floor(1.0 / np.maximum(p, 1e-300))
         ep = np.maximum(inv, 1.0)
         reset = (rnd % ep) == 0
         self.eligible[reset & (p > 0.0)] = True
+        return ep
 
     def mark_elected(self, ids) -> None:
         self.eligible[ids] = False
@@ -258,9 +228,7 @@ def deec_elect_chs(
         if live.any():
             p = np.where(live, weighted(np.where(live, avg, 1.0)), p)
     p = p.reshape(-1)
-    elig.start_round(rnd, p)
-    with np.errstate(divide="ignore"):
-        ep = np.maximum(np.floor(1.0 / np.maximum(p, 1e-300)), 1.0)
+    ep = elig.start_round(rnd, p)
     rm = np.where(p > 0.0, rnd % ep, 0.0)
     elected = _kernels.election_mask(u, p, rm, elig.eligible, alive)
     ids = np.where(elected)[0].astype(np.int64)

@@ -2,13 +2,14 @@
 
 Three modes: fixed at the field centre, fixed at the midpoint of the top
 edge, or sweeping along the top edge.  The mobile position is a pure
-function of the round index, so replays are exact.
+function of the round index, so replays are exact.  Heads' distances to
+the sink are taken where the engine routes them
+(`protocols.hteen_build_hierarchy`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-import math
 
 
 class SinkMode(IntEnum):
@@ -48,9 +49,3 @@ def sink_position(sink: SinkState, rnd: int) -> tuple[float, float]:
     hops = rnd // sink.pause_rounds
     t = (sink.step_m * hops) % (2.0 * m)
     return (m - abs(m - t), m)
-
-
-def collection_distance(sink: SinkState, x: float, y: float, rnd: int) -> float:
-    """Euclidean distance from a point to the sink's position in round `rnd`."""
-    sx, sy = sink_position(sink, rnd)
-    return math.hypot(x - sx, y - sy)

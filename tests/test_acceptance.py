@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from wsnsim import (
+    BACKENDS,
     EnergyParams,
     EpochTracker,
     ProtocolConfig,
@@ -24,16 +25,15 @@ from wsnsim import (
     deploy,
     deec_probabilities,
     leach_elect_chs,
-    assign_clusters,
     read_csv,
     run_matrix,
     run_scenario,
-    tx_energy,
     use_backend,
     default_backend,
     warmup,
 )
 from wsnsim.cli import main as cli_main
+from wsnsim.protocols import nearest_in_run
 
 SEEDS = list(range(1, 11))
 PROTOCOLS = ["leach", "teen", "deec", "hteen", "campteen"]
@@ -121,11 +121,26 @@ def test_criterion_03_energy_conservation(report):
 
 
 def test_criterion_04_radio_model_continuity(report):
+    # the transmit charge that the charging kernels take from a residual of
+    # 0.5 J just below, just above and at the amplifier crossover d0: a
+    # member's packet to its head, and a head's one-signal forward to the sink
     p = EnergyParams()
-    below = tx_energy(p, 4000, p.d0 - 1e-6)
-    above = tx_energy(p, 4000, p.d0 + 1e-6)
-    rel = abs(below - above) / tx_energy(p, 4000, p.d0)
-    report(4, rel < 1e-6, f"amplifier jump at d0 rel {rel:.2e} (limit 1e-6)")
+    e_elec_b, e_fs_b, e_mp_b, e_da_b = (p.packet_bits * e
+                                        for e in (p.e_elec, p.e_fs, p.e_mp, p.e_da))
+    d2 = np.array([p.d0 - 1e-6, p.d0 + 1e-6, p.d0]) ** 2
+    worst = 0.0
+    for impl in BACKENDS.values():
+        member = np.full(6, 0.5)
+        impl["member_phase"](np.ones(6, np.bool_), np.array([3, 4, 5, -1, -1, -1]),
+                             np.concatenate([d2, np.zeros(3)]), member,
+                             e_elec_b, e_fs_b, e_mp_b, p.d0_sq)
+        head = np.full(3, 0.5)
+        impl["relay_phase"](np.arange(3), np.ones(3, np.int64), head, d2, np.full(3, -1),
+                            e_elec_b, e_fs_b, e_mp_b, e_da_b, p.d0_sq)
+        for below, above, at in (0.5 - member[:3], 0.5 - e_da_b - head):
+            worst = max(worst, abs(below - above) / at)
+    report(4, worst < 1e-6, f"transmit charge jump at d0 in member_phase and relay_phase, "
+                            f"{len(BACKENDS)} backend(s), worst rel {worst:.2e} (limit 1e-6)")
 
 
 def test_criterion_05_cover_election_oracle(report):
@@ -160,7 +175,8 @@ def test_criterion_05_cover_election_oracle(report):
 
 
 def test_criterion_06_assignment_oracle(report):
-    # 50 instances: library assignment equals the exhaustive nearest-head scan
+    # 50 instances: the engine's membership call, nearest_in_run over the
+    # non-heads, equals the exhaustive nearest-head scan
     rng = np.random.default_rng(66)
     bad = 0
     for _ in range(50):
@@ -168,16 +184,16 @@ def test_criterion_06_assignment_oracle(report):
         net = deploy(n, 100.0, 0.5, rng)
         k = int(rng.integers(1, max(2, n // 4)))
         ch_ids = np.sort(rng.choice(n, size=k, replace=False))
-        got = assign_clusters(net, ch_ids)
-        for i in range(n):
-            if i in ch_ids:
-                continue
+        members = np.setdiff1d(np.arange(n), ch_ids)
+        idx, _ = nearest_in_run(net, members, ch_ids)
+        for i, got in zip(members, ch_ids[idx]):
             d2 = [(net.x[i] - net.x[h]) ** 2 + (net.y[i] - net.y[h]) ** 2
                   for h in ch_ids]
-            if got[i] != ch_ids[int(np.argmin(d2))]:
+            if got != ch_ids[int(np.argmin(d2))]:
                 bad += 1
                 break
-    report(6, bad == 0, f"{50 - bad}/50 instances equal the exhaustive scan")
+    report(6, bad == 0, f"{50 - bad}/50 instances: nearest_in_run equals the "
+                        f"exhaustive nearest-head scan")
 
 
 def test_criterion_07_static_throughput_ordering(sweep, report):

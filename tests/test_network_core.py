@@ -1,8 +1,11 @@
-"""Deployment, sensing, energy bookkeeping, and cluster assignment."""
+"""Deployment, sensing, and the nearest-head search behind cluster
+membership."""
 import numpy as np
 import pytest
 
-from wsnsim import NodeTier, assign_clusters, deploy, sense_environment
+from wsnsim import NodeTier, deploy, sense_environment
+from wsnsim.network import stack
+from wsnsim.protocols import nearest_in_run
 
 
 def fresh(seed=3, **kw):
@@ -23,7 +26,7 @@ def test_deploy_homogeneous_energy():
     assert np.all(net.residual == 0.5)
     assert np.all(net.tier == NodeTier.NORMAL)
     assert net.e_total == pytest.approx(50.0)
-    assert net.alive_count() == 100
+    assert np.count_nonzero(net.residual > 0.0) == 100
 
 
 def test_deploy_heterogeneous_tiers():
@@ -40,26 +43,13 @@ def test_deploy_heterogeneous_tiers():
     assert net.e_total == 90.0  # 70*0.5 + 20*1.5 + 10*2.5
 
 
-def test_consume_floors_at_zero_and_kills():
-    net = fresh()
-    net.consume(5, 0.2)
-    assert net.residual[5] == pytest.approx(0.3)
-    net.consume(5, 10.0)
-    assert net.residual[5] == 0.0
-    assert not net.alive_mask[5]
-    assert net.alive_count() == 99
-    # dead node stays at zero
-    net.consume(5, 1.0)
-    assert net.residual[5] == 0.0
-
-
 def test_sense_environment_range_and_dead_nodes():
     net = fresh()
     rng = np.random.default_rng(11)
     sense_environment(net, rng.random(net.n))
     assert np.all((net.sensed >= 0.0) & (net.sensed <= 200.0))
     frozen = net.sensed[7]
-    net.consume(7, 10.0)
+    net.residual[7] = 0.0
     sense_environment(net, rng.random(net.n))
     assert net.sensed[7] == frozen  # dead nodes stop sampling
 
@@ -69,7 +59,7 @@ def test_sense_draw_count_is_population_sized():
     # onto the nodes after it (the engine's per-round draw count is checked
     # in test_engine)
     net1, net2 = fresh(), fresh()
-    net2.consume(0, 10.0)
+    net2.residual[0] = 0.0
     u = np.random.default_rng(5).random(net1.n)
     sense_environment(net1, u)
     sense_environment(net2, u)
@@ -77,36 +67,34 @@ def test_sense_draw_count_is_population_sized():
     assert net2.sensed[0] == 0.0
 
 
+def exhaustive_nearest(net, i, heads):
+    """The first of `heads` nearest to node `i`, and its squared distance."""
+    d2 = [(net.x[i] - net.x[h]) * (net.x[i] - net.x[h])
+          + (net.y[i] - net.y[h]) * (net.y[i] - net.y[h]) for h in heads]
+    k = int(np.argmin(d2))
+    return heads[k], d2[k]
+
+
 def test_assign_clusters_matches_exhaustive_scan():
+    # the engine's membership call: every non-head joins the nearest head
+    # (the first one on ties), at that head's squared distance
     rng = np.random.default_rng(21)
     for _ in range(50):
         n = int(rng.integers(5, 30))
         net = deploy(n, 100.0, 0.5, rng)
         k = int(rng.integers(1, max(2, n // 3)))
-        ch_ids = rng.choice(n, size=k, replace=False)
-        got = assign_clusters(net, np.sort(ch_ids))
-        for i in range(n):
-            if i in ch_ids:
-                assert i not in got
-                continue
-            d2 = [(net.x[i] - net.x[h]) ** 2 + (net.y[i] - net.y[h]) ** 2
-                  for h in np.sort(ch_ids)]
-            best = np.sort(ch_ids)[int(np.argmin(d2))]
-            assert got[i] == best
-
-
-def test_assign_clusters_requires_alive_heads():
-    net = fresh()
-    net.consume(3, 10.0)
-    with pytest.raises(ValueError):
-        assign_clusters(net, np.array([3, 8]))
-
-
-def test_node_snapshot():
-    net = fresh()
-    s = net.node(17)
-    assert s.node_id == 17
-    assert (s.x, s.y) == (net.x[17], net.y[17])
-    assert s.residual_energy == 0.5
-    assert s.alive
-    assert np.isnan(s.last_transmitted)
+        ch_ids = np.sort(rng.choice(n, size=k, replace=False))
+        members = np.setdiff1d(np.arange(n), ch_ids)
+        idx, d2 = nearest_in_run(net, members, ch_ids)
+        for i, head, dist in zip(members, ch_ids[idx], d2):
+            assert (head, dist) == exhaustive_nearest(net, i, ch_ids)
+    # a stack of runs: each member joins a head of its own run
+    nets = [deploy(20, 100.0, 0.5, rng) for _ in range(3)]
+    net = stack(nets)
+    ch_ids = np.sort(np.concatenate([r * 20 + rng.choice(20, size=3, replace=False)
+                                     for r in range(3)]))
+    members = np.setdiff1d(np.arange(60), ch_ids)
+    idx, d2 = nearest_in_run(net, members, ch_ids)
+    for i, head, dist in zip(members, ch_ids[idx], d2):
+        own = ch_ids[ch_ids // 20 == i // 20]
+        assert (head, dist) == exhaustive_nearest(net, i, own)

@@ -22,16 +22,14 @@ from wsnsim import (
     deec_average_energy,
     deec_elect_chs,
     deec_lifetime_estimate,
-    deec_p_i,
     deec_probabilities,
     deploy,
     epoch_length,
     hteen_build_hierarchy,
     hteen_promote_layers,
     leach_elect_chs,
-    leach_threshold,
     teen_gate_mask,
-    teen_should_transmit,
+    use_backend,
 )
 from wsnsim.network import stack
 
@@ -66,26 +64,41 @@ def test_epoch_length():
 
 # --- LEACH ----------------------------------------------------------------
 
+def leach_elects(u, rnd, served=()):
+    """The nodes that the draws `u` elect at round `rnd` in a fresh LEACH
+    network (p = 0.1) of one node per draw; `served` nodes already headed
+    this epoch."""
+    net = deploy(len(u), 100.0, 0.5, np.random.default_rng(0))
+    tracker = EpochTracker(net.n, 0.1)
+    tracker.mark_elected(list(served))
+    return leach_elect_chs(net, 0.1, tracker, rnd, np.asarray(u)).tolist()
+
+
 def test_leach_threshold_frozen_values():
-    assert leach_threshold(0.1, 0, True) == 0.1
-    assert leach_threshold(0.1, 1, True) == 0.11111111111111112
-    assert leach_threshold(0.1, 5, True) == 0.2
-    assert leach_threshold(0.1, 9, True) == 1.0   # epoch end: certain election
-    assert leach_threshold(0.1, 10, True) == 0.1  # next epoch wraps
-    assert leach_threshold(0.1, 3, False) == 0.0
+    # T = p / (1 - p * (rnd mod 10)) on every backend: a draw equal to T is
+    # not elected, the next draw below it is
+    frozen = {0: 0.1, 1: 0.11111111111111112, 5: 0.2,
+              9: 1.0,    # epoch end: certain election
+              10: 0.1}   # next epoch wraps
+    for backend in _kernels.BACKENDS:
+        use_backend(backend)
+        for rnd, t in frozen.items():
+            assert leach_elects([t, np.nextafter(t, 0.0)], rnd) == [1]
+        assert leach_elects([0.0, 0.0], 3, served=[0]) == [1]  # served: T = 0
 
 
 def test_leach_threshold_monotone_within_epoch():
-    ts = [leach_threshold(0.1, r, True) for r in range(10)]
-    assert all(a < b for a, b in zip(ts, ts[1:]))
-    assert ts[-1] == 1.0
-
-
-def test_leach_threshold_validation():
-    with pytest.raises(ValueError):
-        leach_threshold(0.0, 0, True)
-    with pytest.raises(ValueError):
-        leach_threshold(0.1, -1, True)
+    # the draws elected at each round of an epoch are those below T: a
+    # prefix of the sorted draws that grows every round, all of them at the
+    # epoch's last round
+    u = np.arange(1000) / 1000
+    counts = []
+    for rnd in range(10):
+        ids = leach_elects(u, rnd)
+        assert ids == list(range(len(ids)))
+        counts.append(len(ids))
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+    assert counts[-1] == 1000
 
 
 def test_leach_epoch_completeness():
@@ -113,8 +126,7 @@ def test_leach_epoch_completeness_many_epochs():
 
 def test_leach_never_elects_dead_nodes():
     net = small_net()
-    for i in range(0, 40):
-        net.consume(i, 10.0)
+    net.residual[:40] = 0.0
     tracker = EpochTracker(net.n, 0.1)
     rng = np.random.default_rng(9)
     for rnd in range(20):
@@ -125,15 +137,30 @@ def test_leach_never_elects_dead_nodes():
 
 # --- TEEN gate ------------------------------------------------------------
 
+def teen_should_transmit(sensed, last_transmitted, hard, soft):
+    """One node's reactive gate, written out: the oracle for the
+    vectorized `teen_gate_mask`."""
+    if sensed < hard:
+        return False
+    if math.isnan(last_transmitted):
+        return True
+    return abs(sensed - last_transmitted) >= soft
+
+
 def test_teen_gate_truth_table():
     nan = float("nan")
-    assert teen_should_transmit(120.0, nan, 100.0, 2.0)        # first crossing
-    assert not teen_should_transmit(80.0, nan, 100.0, 2.0)     # below hard
-    assert teen_should_transmit(120.0, 110.0, 100.0, 2.0)      # moved >= soft
-    assert not teen_should_transmit(120.0, 119.5, 100.0, 2.0)  # stagnant
-    assert teen_should_transmit(120.0, 118.0, 100.0, 2.0)      # boundary: == soft
-    assert teen_should_transmit(100.0, nan, 100.0, 2.0)        # boundary: == hard
-    assert not teen_should_transmit(99.999, nan, 100.0, 2.0)
+    rows = [  # sensed, last reported, reports?
+        (120.0, nan, True),      # first crossing
+        (80.0, nan, False),      # below hard
+        (120.0, 110.0, True),    # moved >= soft
+        (120.0, 119.5, False),   # stagnant
+        (120.0, 118.0, True),    # boundary: == soft
+        (100.0, nan, True),      # boundary: == hard
+        (99.999, nan, False),
+    ]
+    sensed, last, want = (np.array(col) for col in zip(*rows))
+    mask = teen_gate_mask(sensed, last, np.ones(len(rows), np.bool_), 100.0, 2.0)
+    assert mask.tolist() == want.tolist()
 
 
 def test_teen_gate_mask_matches_scalar():
@@ -163,10 +190,21 @@ def test_deec_lifetime_estimate_frozen():
 
 
 def test_deec_p_i_frozen_two_level():
-    assert deec_p_i(0.5, 0.0, 0.9, 0.1, 0.2, 2.0) == 0.03968253968253969
-    assert deec_p_i(1.5, 2.0, 0.9, 0.1, 0.2, 2.0) == 0.3571428571428572
-    assert deec_p_i(0.0, 0.0, 0.9, 0.1) == 0.0
-    assert deec_p_i(99.0, 0.0, 0.9, 0.1) == 1.0  # clamp
+    # 20 advanced nodes (a = 2) among 100, announced average 0.9, p_opt 0.1.
+    # Frozen values re-derived with plain arithmetic in the function's order,
+    # p_opt * weight * residual / avg, where weight is 1 (normal) or 1 + a
+    # (advanced) over 1 + a * (advanced fraction):
+    # 0.1 * (1.0 / (1.0 + 2.0 * (20 / 100))) * 0.5 / 0.9 for a normal node,
+    # 0.1 * (3.0 / (1.0 + 2.0 * (20 / 100))) * 1.5 / 0.9 for an advanced one.
+    factors = np.array([2.0] * 20 + [0.0] * 80)
+    resid = np.full(100, 0.5)
+    resid[0] = 1.5
+    resid[[97, 98]] = 0.0, 99.0
+    p = deec_probabilities(resid, factors, 0.9, 0.1, multi_level=False)
+    assert p[99] == 0.03968253968253969
+    assert p[0] == 0.35714285714285715
+    assert p[97] == 0.0   # dead
+    assert p[98] == 1.0   # clamp
 
 
 def test_deec_probabilities_homogeneous_identity():
@@ -191,7 +229,7 @@ def test_deec_probabilities_two_level_frozen():
     factors = np.array([2.0] * 20 + [0.0] * 80)
     resid = 0.5 * (1.0 + factors)
     p = deec_probabilities(resid, factors, 0.9, 0.1, multi_level=False)
-    assert p[0] == pytest.approx(0.3571428571428572, rel=1e-12)
+    assert p[0] == pytest.approx(0.35714285714285715, rel=1e-12)
     assert p[99] == pytest.approx(0.03968253968253969, rel=1e-12)
 
 
@@ -252,7 +290,7 @@ def test_deec_richer_nodes_elect_more_often():
 def test_deec_saturates_when_average_hits_zero():
     # past the lifetime estimate every surviving node elects each round
     net = small_net()
-    net.consume(0, 10.0)
+    net.residual[0] = 0.0
     cfg = ProtocolConfig()
     elig = DeecEligibility(net.n)
     ids = deec_elect_chs(net, cfg, elig, 3000, 0.0, np.random.default_rng(1).random(net.n))
@@ -264,12 +302,15 @@ def test_deec_eligibility_personal_epochs():
     elig = DeecEligibility(4)
     p = np.array([0.5, 0.25, 0.1, 0.0])
     elig.mark_elected([0, 1, 2, 3])
-    elig.start_round(2, p)  # 2 % floor(1/0.5)=2 -> node 0 resets
+    # floor(1/p), the clamped p=0 giving floor(1e300)
+    epochs = [2.0, 4.0, 10.0, 9.999999999999999e+299]
+    assert elig.start_round(2, p).tolist() == epochs  # 2 % 2 == 0 -> node 0 resets
     assert list(elig.eligible) == [True, False, False, False]
-    elig.start_round(4, p)  # 4 % 4 == 0 -> node 1 resets too
+    assert elig.start_round(4, p).tolist() == epochs  # 4 % 4 == 0 -> node 1 resets too
     assert list(elig.eligible) == [True, True, False, False]
     elig.start_round(10, p)  # 10 % 10 == 0 -> node 2; p=0 never resets
     assert list(elig.eligible) == [True, True, True, False]
+    assert elig.start_round(3, np.array([1.0, 0.3, 0.6, 2.0])).tolist() == [1.0, 3.0, 1.0, 1.0]
 
 
 # --- H-TEEN ---------------------------------------------------------------
@@ -463,7 +504,7 @@ def test_campteen_matches_bruteforce_greedy():
 def test_campteen_rich_nodes_win_election():
     # drain one node heavily; with equal alphas the rich neighbour heads
     net = deploy(2, 10.0, 0.5, np.random.default_rng(2))
-    net.consume(0, 0.4)
+    net.residual[0] = 0.1
     cfg = ProtocolConfig(comm_range_m=50.0)
     ids, ch_of = campteen_elect_chs(net, cfg, np.zeros(2))
     assert ids.tolist() == [1]

@@ -1,9 +1,7 @@
 """Sink placement and the mobile top-edge sweep."""
-import math
-
 import pytest
 
-from wsnsim import SinkMode, SinkState, collection_distance, sink_position
+from wsnsim import SinkMode, SinkState, sink_position
 
 
 def test_parse():
@@ -50,15 +48,6 @@ def test_period_of_full_sweep():
     period = 2 * int(100.0 / 10.0) * 1
     for rnd in range(100):
         assert sink_position(st, rnd) == sink_position(st, rnd + period)
-
-
-def test_collection_distance():
-    st = SinkState(SinkMode.STATIC_CENTER, 100.0)
-    assert collection_distance(st, 50.0, 50.0, 0) == 0.0
-    assert collection_distance(st, 53.0, 54.0, 0) == math.hypot(3.0, 4.0)
-    mob = SinkState(SinkMode.MOBILE_TOP, 100.0)
-    assert collection_distance(mob, 0.0, 100.0, 0) == 0.0
-    assert collection_distance(mob, 0.0, 100.0, 10) == 100.0
 
 
 def test_sink_state_validation():
