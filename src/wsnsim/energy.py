@@ -56,14 +56,6 @@ def expected_round_energy(
     sink, and the members' free-space hops to their head, using the mean
     member-to-head distance field_m / sqrt(2 * pi * clusters).
     """
-    if clusters < 1:
-        raise ValueError("clusters must be >= 1")
-    if nodes < clusters:
-        raise ValueError("nodes must be >= clusters")
-    if field_m <= 0.0:
-        raise ValueError("field_m must be positive")
-    if d_to_bs < 0.0:
-        raise ValueError("d_to_bs must be >= 0")
     d_to_ch_sq = field_m * field_m / (TWO_PI * clusters)
     return params.packet_bits * (
         2.0 * nodes * params.e_elec

@@ -9,14 +9,15 @@ one tier walk forwards for all five.  Every joule leaves through the
 residual-energy arrays, so consumed energy always equals the drop in
 total residual.
 
-One engine steps a batch of R runs of N nodes (one protocol and sink,
-one seed each) as a single population of R*N nodes: run r holds ids
-r*N .. r*N+N-1 (`network.stack`).  Runs never interact, and every run
-of a batch has the same election probability, epoch, tier count and
-sink position in each round, so the elementwise work (sensing, election
-masks, the reporting gate, both charging phases) runs once per round on
-the stacked arrays.  What stays per run: its generator, membership and
-tier routing (a node only joins or relays to a head of its own run),
+One engine steps a batch of R runs of N nodes (one protocol; each run
+with its own sink and seed) as a single population of R*N nodes: run r
+holds ids r*N .. r*N+N-1 (`network.stack`).  Runs never interact, and
+every run of a batch has the same election probability, epoch and tier
+count in each round, so the elementwise work (sensing, election masks,
+the reporting gate, both charging phases) runs once per round on the
+stacked arrays.  What stays per run: its generator, its sink (position
+and short-circuit radius, read per head by the tier walk), membership
+and tier routing (a node only joins or relays to a head of its own run),
 CAMP-TEEN's cover, DEEC's population terms, and the tallies, which the
 engine takes per run from the kernels' per-node outcomes.  A run of one
 is the batch of one.
@@ -60,10 +61,12 @@ REACTIVE = (ProtocolKind.TEEN, ProtocolKind.HTEEN, ProtocolKind.CAMPTEEN)
 
 class Engine:
     """Protocol state machine for a batch of runs, each over its own
-    deployed network; all networks have the same size and field."""
+    deployed network and toward its own sink (`sinks`, one per network);
+    all networks have the same size and field."""
 
     def __init__(self, kind: ProtocolKind, cfg: ProtocolConfig,
-                 energy: EnergyParams, nets: list[NetworkState]):
+                 energy: EnergyParams, nets: list[NetworkState],
+                 sinks: list[SinkState]):
         self.kind = kind
         self.cfg = cfg
         self.energy = energy
@@ -78,6 +81,17 @@ class Engine:
         self.runs = runs = net.runs
         self.size = n = net.run_size
         self._cum_bs = np.zeros(runs, np.int64)
+        # each run's sink: a static one stays where round 0 puts it, a
+        # mobile one moves each round and short-circuits heads within
+        # `sink_range_m`
+        at_start = [sink_position(sink, 0) for sink in sinks]
+        self._sink_x = np.array([x for x, _ in at_start])
+        self._sink_y = np.array([y for _, y in at_start])
+        self._mobile = [(r, sink) for r, sink in enumerate(sinks)
+                        if sink.mode == SinkMode.MOBILE_TOP]
+        r2 = cfg.sink_range_m * cfg.sink_range_m
+        self._direct_r2 = np.array([r2 if sink.mode == SinkMode.MOBILE_TOP else -np.inf
+                                    for sink in sinks])
         # one row of draws per run and round: sensing, then each election stage
         stages = 1 + (cfg.hierarchy_layers if kind == ProtocolKind.HTEEN else 1)
         self._draws = np.zeros((runs, stages, n))
@@ -121,8 +135,7 @@ class Engine:
 
     # -- one round --------------------------------------------------------
 
-    def step(self, sinkst: SinkState, rnd: int,
-             rngs: list[np.random.Generator]) -> list[RoundMetrics]:
+    def step(self, rnd: int, rngs: list[np.random.Generator]) -> list[RoundMetrics]:
         """One round of every run; `rngs` holds each run's generator.
         Returns each run's RoundMetrics, in run order."""
         net, runs, n = self.net, self.runs, self.size
@@ -196,11 +209,12 @@ class Engine:
 
         # forward aggregates tier by tier from the bottom up; with a mobile
         # sink any head within `sink_range_m` skips the hierarchy
-        sx, sy = sink_position(sinkst, rnd)
-        direct_r2 = (self.cfg.sink_range_m * self.cfg.sink_range_m
-                     if sinkst.mode == SinkMode.MOBILE_TOP else -np.inf)
+        sx, sy = self._sink_x, self._sink_y
+        for r, sink in self._mobile:
+            sx[r], sy[r] = sink_position(sink, rnd)
         reached = []  # the heads whose packets reached the sink
-        for senders, target, tx_d2 in hteen_build_hierarchy(net, tiers, sx, sy, direct_r2):
+        for senders, target, tx_d2 in hteen_build_hierarchy(net, tiers, sx, sy,
+                                                             self._direct_r2):
             to_sink = _kernels.relay_phase(
                 senders, signals, net.residual, tx_d2, target,
                 self._e_elec_b, self._e_fs_b, self._e_mp_b, self._e_da_b, self._d0sq,

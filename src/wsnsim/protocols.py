@@ -126,20 +126,12 @@ def deec_average_energy(e_total: float, nodes: int, rnd: int, lifetime_estimate:
     Declines linearly from e_total/nodes to zero over the estimated
     lifetime; floored at zero afterwards.
     """
-    if nodes < 1:
-        raise ValueError("nodes must be >= 1")
-    if lifetime_estimate <= 0.0:
-        raise ValueError("lifetime_estimate must be positive")
-    if rnd < 0:
-        raise ValueError("round must be >= 0")
     val = (e_total / nodes) * (1.0 - rnd / lifetime_estimate)
     return val if val > 0.0 else 0.0
 
 
 def deec_lifetime_estimate(e_total: float, e_round: float) -> float:
     """Rounds the network can sustain at `e_round` joules per round."""
-    if e_total <= 0.0 or e_round <= 0.0:
-        raise ValueError("energies must be positive")
     return e_total / e_round
 
 
@@ -157,12 +149,9 @@ def deec_probabilities(
     (1 + a_i) against the population total.  Clamped to [0, 1]; dead
     nodes get 0.  Arrays of shape (R, N) hold R populations, one per row,
     each weighed against its own totals; `avg_energy` may then hold one
-    value per row, shaped (R, 1).
+    value per row, shaped (R, 1).  `avg_energy` is positive and `p_opt` in
+    (0, 1], as `deec_elect_chs` passes them.
     """
-    if (np.asarray(avg_energy) <= 0.0).any():
-        raise ValueError("avg_energy must be positive")
-    if not 0.0 < p_opt <= 1.0:
-        raise ValueError("p_opt must be in (0, 1]")
     n = residual.shape[-1]
     if multi_level:
         weight = n * (1.0 + energy_factor) / (n + energy_factor.sum(axis=-1, keepdims=True))
@@ -254,8 +243,6 @@ def hteen_promote_layers(
     `draws` holds one uniform array per promotion stage.  Returns one id
     array per tier (ascending, each a subset of the previous).
     """
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
     tiers = [np.asarray(base_ch_ids, np.int64)]
     for level in range(1, layers):
         tracker = trackers[level]
@@ -278,7 +265,8 @@ def hteen_promote_layers(
 
 
 def hteen_build_hierarchy(
-    net: NetworkState, tiers: list[np.ndarray], sx: float, sy: float, direct_r2: float
+    net: NetworkState, tiers: list[np.ndarray], sx: np.ndarray, sy: np.ndarray,
+    direct_r2: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Route every head one hop up the tier hierarchy, bottom tier first.
 
@@ -286,8 +274,10 @@ def hteen_build_hierarchy(
     senders are its heads not promoted to the next tier (ascending); each
     targets its nearest next-tier head, or the sink (-1) when the next
     tier is empty, the head is in the top tier, or its squared distance
-    to the sink at (sx, sy) is within `direct_r2`.  A flat protocol is a
-    single tier, so all of its heads target the sink.
+    to its run's sink is within its run's `direct_r2`.  `sx`, `sy` and
+    `direct_r2` are arrays with one value per run of `net`: the sink's
+    coordinates and the squared short-circuit radius.  A flat protocol is
+    a single tier, so all of its heads target the sink.
     """
     hops = []
     size = net.run_size
@@ -295,14 +285,15 @@ def hteen_build_hierarchy(
         promoted = np.zeros(net.n, np.bool_)
         promoted[up] = True
         senders = ids[~promoted[ids]]
-        dx = net.x[senders] - sx
-        dy = net.y[senders] - sy
+        run = senders // size
+        dx = net.x[senders] - sx[run]
+        dy = net.y[senders] - sy[run]
         tx_d2 = dx * dx + dy * dy
         targets = np.full(senders.size, -1, np.int64)
         if up.size:
-            relay = tx_d2 > direct_r2
+            relay = tx_d2 > direct_r2[run]
             if net.runs > 1:  # a run whose next tier is empty sends to the sink
-                relay &= np.bincount(up // size, minlength=net.runs)[senders // size] > 0
+                relay &= np.bincount(up // size, minlength=net.runs)[run] > 0
             via = senders[relay]
             idx, d2up = nearest_in_run(net, via, up)
             targets[relay] = up[idx]

@@ -2,10 +2,10 @@
 
 Each run gets its own generator seeded from (seed, protocol, sink mode),
 so runs never share or reorder random draws and any single combination
-can be reproduced in isolation.  That lets one engine step several seeds
-of the same protocol and sink as one batch (see `engine`), and lets
-`run_matrix` hand its batches to forked worker processes, and still
-write the bytes that one run at a time writes.
+can be reproduced in isolation.  That lets one engine step several runs
+of the same protocol, whatever their sinks and seeds, as one batch (see
+`engine`), and lets `run_matrix` hand its batches to forked worker
+processes, and still write the bytes that one run at a time writes.
 """
 from __future__ import annotations
 
@@ -50,17 +50,18 @@ def run_scenario(
     checked by the same rules.
     """
     kind, mode, run_seed = _combination(cfg, protocol, sink, seed)
-    return _run_seeds(cfg, kind, mode, [run_seed])[0]
+    return _run_batch(cfg, kind, [(mode, run_seed)])[0]
 
 
-def _run_seeds(cfg: ScenarioConfig, kind: ProtocolKind, mode: SinkMode,
-               seeds: list[int]) -> list[RunResult]:
-    """Simulate one protocol and sink for each seed, all seeds as one batch.
+def _run_batch(cfg: ScenarioConfig, kind: ProtocolKind,
+               runs: list[tuple[SinkMode, int]]) -> list[RunResult]:
+    """Simulate one protocol for each (sink, seed) of `runs`, all runs as
+    one batch; results come in the order of `runs`.
 
     Module-level, so a pool can submit it by name: `run_scenario` may be
     rebound to a wrapper (a tracer's) that does not pickle.
     """
-    rngs = [np.random.default_rng([seed, int(kind), int(mode)]) for seed in seeds]
+    rngs = [np.random.default_rng([seed, int(kind), int(mode)]) for mode, seed in runs]
     pcfg = protocol_config(cfg, kind)
     nets = [
         deploy(
@@ -72,15 +73,17 @@ def _run_seeds(cfg: ScenarioConfig, kind: ProtocolKind, mode: SinkMode,
         )
         for rng in rngs
     ]
-    sinkst = SinkState(mode, cfg.field_m, cfg.sink_step_m, cfg.sink_pause_rounds)
-    eng = Engine(kind, pcfg, energy_params(cfg), nets)
-    hists = [RunHistory() for _ in seeds]
+    sinks = [SinkState(mode, cfg.field_m, cfg.sink_step_m, cfg.sink_pause_rounds)
+             for mode, _ in runs]
+    eng = Engine(kind, pcfg, energy_params(cfg), nets, sinks)
+    hists = [RunHistory() for _ in runs]
     for rnd in range(cfg.rounds):
-        for hist, metrics in zip(hists, eng.step(sinkst, rnd, rngs)):
+        for hist, metrics in zip(hists, eng.step(rnd, rngs)):
             hist.record_round(metrics)
-    protocol, sink = kind.name.lower(), mode.name.lower()
-    return [RunResult(kind, mode, seed, hist, summarize(hist, protocol, sink, seed), net)
-            for seed, hist, net in zip(seeds, hists, nets)]
+    protocol = kind.name.lower()
+    return [RunResult(kind, mode, seed, hist,
+                      summarize(hist, protocol, mode.name.lower(), seed), net)
+            for (mode, seed), hist, net in zip(runs, hists, nets)]
 
 
 _AXES = ("protocol", "sink", "seed")
@@ -137,14 +140,15 @@ def run_matrix(
     """Run every combination; results come in lexicographic (protocol,
     sink, seed) order.
 
-    The seeds of each (protocol, sink) are stepped in batches (see
-    `engine`): each is split into ceil(workers / (protocol, sink) pairs)
-    batches of consecutive seeds, where workers is min(usable CPUs, runs).
-    With more than one worker the batches go to that many worker processes
-    started with fork, and come back in order, so the output is
-    byte-identical to running one combination at a time.  With one usable
-    CPU (pin the process, for example with `taskset -c 0`), one run, or no
-    fork on the platform, each pair is one batch, run in this process.
+    The runs of each protocol are stepped in batches (see `engine`): its
+    (sink, seed) runs, in that order, are split into ceil(workers /
+    protocols) batches of consecutive runs, where workers is min(usable
+    CPUs, runs).  With more than one worker the batches go to that many
+    worker processes started with fork, and come back in order, so the
+    output is byte-identical to running one combination at a time.  With
+    one usable CPU (pin the process, for example with `taskset -c 0`), one
+    run, or no fork on the platform, each protocol is one batch, run in
+    this process.
 
     Every protocol, sink and seed is checked by the config's rules before
     the first run; an empty list or a repeated entry is an error too.
@@ -152,16 +156,17 @@ def run_matrix(
     A failing run aborts the whole matrix, naming the first combination of
     the first failing batch in that order.
     """
-    kinds = _axis(cfg, "protocol", ProtocolKind if protocols is None else protocols)
-    modes = _axis(cfg, "sink", SinkMode if sinks is None else sinks)
+    kinds = sorted(_axis(cfg, "protocol", ProtocolKind if protocols is None else protocols),
+                   key=lambda k: k.name)
+    modes = sorted(_axis(cfg, "sink", SinkMode if sinks is None else sinks),
+                   key=lambda m: m.name)
     seed_list = sorted(_axis(cfg, "seed", [cfg.seed] if seeds is None else seeds))
 
-    pairs = sorted(((k, m) for k in kinds for m in modes),
-                   key=lambda t: (t[0].name, t[1].name))
-    workers = _worker_count(len(pairs) * len(seed_list))
-    batches = _batches(pairs, seed_list, workers)
+    runs = [(m, s) for m in modes for s in seed_list]
+    workers = _worker_count(len(kinds) * len(runs))
+    batches = _batches(kinds, runs, workers)
     if workers == 1:
-        results = _collect(batches, [partial(_run_seeds, cfg, *b) for b in batches])
+        results = _collect(batches, [partial(_run_batch, cfg, *b) for b in batches])
     else:
         # imported here: they cost 20-30 ms, which a serial sweep need not pay
         import multiprocessing
@@ -171,7 +176,7 @@ def run_matrix(
         # and numba's compiled kernels instead of importing and compiling anew
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-            futures = [pool.submit(_run_seeds, cfg, *b) for b in batches]
+            futures = [pool.submit(_run_batch, cfg, *b) for b in batches]
             try:
                 results = _collect(batches, [f.result for f in futures])
             finally:
@@ -192,24 +197,25 @@ def run_matrix(
     return results
 
 
-def _batches(pairs, seeds, workers) -> list[tuple[ProtocolKind, SinkMode, list[int]]]:
-    """Each (protocol, sink) pair with its seeds, split into
-    ceil(workers / pairs) batches of consecutive seeds, in order."""
-    parts = -(-workers // len(pairs))
-    cuts = [len(seeds) * i // parts for i in range(parts + 1)]
-    return [(kind, mode, seeds[a:b]) for kind, mode in pairs for a, b in zip(cuts, cuts[1:])]
+def _batches(kinds, runs, workers) -> list[tuple[ProtocolKind, list[tuple[SinkMode, int]]]]:
+    """Each protocol with its (sink, seed) runs, split into
+    ceil(workers / protocols) batches of consecutive runs, in order."""
+    parts = -(-workers // len(kinds))
+    cuts = [len(runs) * i // parts for i in range(parts + 1)]
+    return [(kind, runs[a:b]) for kind in kinds for a, b in zip(cuts, cuts[1:])]
 
 
 def _collect(batches, calls) -> list[RunResult]:
     """Call each batch in order; the first failure names its batch's first
     combination."""
     results: list[RunResult] = []
-    for (kind, mode, seeds), call in zip(batches, calls):
+    for (kind, runs), call in zip(batches, calls):
         try:
             results.extend(call())
         except Exception as exc:
+            mode, seed = runs[0]
             raise RuntimeError(
                 f"run failed for protocol={kind.name.lower()} "
-                f"sink={mode.name.lower()} seed={seeds[0]}: {exc}"
+                f"sink={mode.name.lower()} seed={seed}: {exc}"
             ) from exc
     return results

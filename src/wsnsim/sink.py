@@ -2,8 +2,10 @@
 
 Three modes: fixed at the field centre, fixed at the midpoint of the top
 edge, or sweeping along the top edge.  The mobile position is a pure
-function of the round index, so replays are exact.  Heads' distances to
-the sink are taken where the engine routes them
+function of the round index, so replays are exact.  Each run of an
+engine's batch has its own sink: the engine places a static one once
+and moves only the mobile ones each round.  Heads' distances to their
+run's sink are taken where the engine routes them
 (`protocols.hteen_build_hierarchy`).
 """
 from __future__ import annotations

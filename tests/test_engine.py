@@ -86,7 +86,8 @@ def test_members_join_their_nearest_head(monkeypatch, protocol, sink):
     monkeypatch.setattr(_kernels, "member_phase", record_members)
     cfg = ScenarioConfig(rounds=300, initial_energy_j=0.02)
     solo = run_scenario(cfg, protocol, sink, 2)
-    batch = runner._run_seeds(cfg, ProtocolKind.parse(protocol), SinkMode.parse(sink), [2, 3, 4])
+    batch = runner._run_batch(cfg, ProtocolKind.parse(protocol),
+                              [(SinkMode.parse(sink), seed) for seed in (2, 3, 4)])
     assert all(res.history.dead[-1] > 0 for res in [solo] + batch)
     checked = 0
     for net, heads, gate, assign, d2ch in (r for r in rounds if len(r) == 5):
@@ -143,10 +144,10 @@ def test_soft_threshold_suppresses_stagnant_readings():
 
 def test_last_transmission_tracks_sent_values():
     net = deploy(30, 100.0, 0.5, np.random.default_rng(5))
-    eng = Engine(ProtocolKind.TEEN, ProtocolConfig(), EnergyParams(), [net])
-    sinkst = SinkState(SinkMode.STATIC_CENTER, 100.0)
+    eng = Engine(ProtocolKind.TEEN, ProtocolConfig(), EnergyParams(), [net],
+                 [SinkState(SinkMode.STATIC_CENTER, 100.0)])
     rng = np.random.default_rng(6)
-    eng.step(sinkst, 0, [rng])
+    eng.step(0, [rng])
     reported = ~np.isnan(net.last_tx)
     assert reported.any()
     # whoever reported stored exactly the value they sensed this round
@@ -225,9 +226,10 @@ def test_draws_per_round_do_not_depend_on_deaths(kind, stages):
     nets = [deploy(30, 100.0, 0.5, np.random.default_rng(s)) for s in (5, 6, 7)]
     nets[0].residual[::2] = 0.0   # half dead
     nets[1].residual[:] = 0.0     # extinct
-    eng = Engine(kind, ProtocolConfig(), EnergyParams(), nets)
+    eng = Engine(kind, ProtocolConfig(), EnergyParams(), nets,
+                 [SinkState(SinkMode.STATIC_CENTER, 100.0)] * 3)
     rngs = [np.random.default_rng(s) for s in (8, 9, 10)]
-    eng.step(SinkState(SinkMode.STATIC_CENTER, 100.0), 0, rngs)
+    eng.step(0, rngs)
     for rng, seed, drawn in zip(rngs, (8, 9, 10), (stages, 0, stages)):
         fresh = np.random.default_rng(seed)
         fresh.random(drawn * 30)

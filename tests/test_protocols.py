@@ -328,6 +328,11 @@ def test_hteen_tiers_are_nested_subsets():
         assert np.all(np.diff(upper) > 0) if len(upper) > 1 else True
 
 
+def per_run(*values):
+    """One value per run, as `hteen_build_hierarchy` takes the sink's."""
+    return np.array(values, np.float64)
+
+
 def sink_d2(net, ids, sx, sy):
     dx = net.x[ids] - sx
     dy = net.y[ids] - sy
@@ -337,7 +342,7 @@ def sink_d2(net, ids, sx, sy):
 def test_hteen_hierarchy_edges_connect_adjacent_tiers():
     net = small_net(seed=12)
     tiers = [np.array([1, 4, 7, 9, 15, 22]), np.array([4, 9, 22]), np.array([9])]
-    hops = hteen_build_hierarchy(net, tiers, 50.0, 100.0, -np.inf)
+    hops = hteen_build_hierarchy(net, tiers, per_run(50.0), per_run(100.0), per_run(-np.inf))
     assert len(hops) == 3
     (s0, t0, d0), (s1, t1, d1), (s2, t2, d2) = hops
     assert s0.tolist() == [1, 7, 15]          # promoted heads do not send
@@ -361,7 +366,8 @@ def test_hteen_hierarchy_edges_connect_adjacent_tiers():
 def test_hteen_empty_upper_tier_reports_to_sink():
     net = small_net(seed=12)
     tiers = [np.array([1, 4, 7]), np.array([], dtype=np.int64)]
-    (s0, t0, d0), (s1, t1, d1) = hteen_build_hierarchy(net, tiers, 50.0, 50.0, -np.inf)
+    (s0, t0, d0), (s1, t1, d1) = hteen_build_hierarchy(
+        net, tiers, per_run(50.0), per_run(50.0), per_run(-np.inf))
     assert s0.tolist() == [1, 4, 7]
     assert t0.tolist() == [-1, -1, -1]
     assert np.array_equal(d0, sink_d2(net, s0, 50.0, 50.0))
@@ -371,7 +377,8 @@ def test_hteen_empty_upper_tier_reports_to_sink():
 def test_hteen_single_layer_is_flat():
     net = small_net(seed=12)
     tiers = [np.array([2, 5])]
-    [(s0, t0, _)] = hteen_build_hierarchy(net, tiers, 50.0, 100.0, -np.inf)
+    [(s0, t0, _)] = hteen_build_hierarchy(
+        net, tiers, per_run(50.0), per_run(100.0), per_run(-np.inf))
     assert s0.tolist() == [2, 5]
     assert t0.tolist() == [-1, -1]
 
@@ -380,11 +387,11 @@ def test_hteen_direct_range_short_circuits_interior_head():
     net = small_net(seed=12)
     tiers = [np.array([1, 4, 7, 9, 15, 22]), np.array([4, 9, 22]), np.array([9])]
     sx, sy = 30.0, 100.0
-    walked = hteen_build_hierarchy(net, tiers, sx, sy, -np.inf)
+    walked = hteen_build_hierarchy(net, tiers, per_run(sx), per_run(sy), per_run(-np.inf))
     interior = np.array([1, 7, 15, 4, 22])
     d2s = sink_d2(net, interior, sx, sy)
     near = int(interior[np.argmin(d2s)])
-    hops = hteen_build_hierarchy(net, tiers, sx, sy, float(d2s.min()))
+    hops = hteen_build_hierarchy(net, tiers, per_run(sx), per_run(sy), per_run(d2s.min()))
     for (s, t, d), (_, t_ref, d_ref) in zip(hops, walked):
         for k, i in enumerate(s.tolist()):
             if i == near:
@@ -396,13 +403,50 @@ def test_hteen_direct_range_short_circuits_interior_head():
     assert sum(int(np.count_nonzero(t == -1)) for _, t, _ in hops) == 2
 
 
+def test_hteen_hierarchy_reads_each_runs_sink():
+    # One static_center run and one mobile_top run stacked: each run's
+    # targets and tx_d2 equal its own single-run walk, bit for bit.  The
+    # mobile run's radius admits an interior head of either run, yet only
+    # the mobile run short-circuits one.
+    nets = [small_net(seed=12), small_net(seed=13)]
+    tiers = [[np.array([1, 4, 7, 9, 15, 22]), np.array([4, 9, 22]), np.array([9])],
+             [np.array([3, 8, 11, 20, 31, 40]), np.array([8, 20, 40]), np.array([20])]]
+    interior = [np.array([1, 7, 15, 4, 22]), np.array([3, 11, 31, 8, 40])]
+    sinks = [(50.0, 50.0), (30.0, 100.0)]
+    r2 = max(float(sink_d2(net, ids, *sink).min())
+             for net, ids, sink in zip(nets, interior, sinks))
+    radii = [-np.inf, r2]
+    solo = [hteen_build_hierarchy(net, t, per_run(sx), per_run(sy), per_run(d))
+            for net, t, (sx, sy), d in zip(nets, tiers, sinks, radii)]
+    # the shared radius would short-circuit a head of the static run too
+    shared = hteen_build_hierarchy(nets[0], tiers[0], per_run(50.0), per_run(50.0), per_run(r2))
+    assert any(not np.array_equal(a[1], b[1]) for a, b in zip(shared, solo[0]))
+
+    size = nets[0].n
+    both = stack([small_net(seed=12), small_net(seed=13)])
+    stacked = [np.concatenate([a, b + size]) for a, b in zip(*tiers)]
+    hops = hteen_build_hierarchy(both, stacked, per_run(50.0, 30.0), per_run(50.0, 100.0),
+                                 per_run(*radii))
+    for (s, t, d), *alone in zip(hops, *solo):
+        for run, (s1, t1, d1) in enumerate(alone):
+            mine = s // size == run
+            assert np.array_equal(s[mine], s1 + run * size)
+            assert np.array_equal(t[mine], np.where(t1 < 0, -1, t1 + run * size))
+            assert d[mine].tobytes() == d1.tobytes()
+    # below the top tier a head targets the sink only by short-circuit
+    direct = [sum(int(np.count_nonzero(t[s // size == run] == -1)) for s, t, _ in hops[:-1])
+              for run in (0, 1)]
+    assert direct[0] == 0 and direct[1] >= 1
+
+
 def test_hteen_flat_tier_targets_sink_at_sink_distance():
     net = small_net(seed=12)
     tracker = EpochTracker(net.n, 0.1)
     ch_ids = leach_elect_chs(net, 0.1, tracker, 0, np.random.default_rng(4).random(net.n))
     assert ch_ids.size > 1
     for direct_r2 in (-np.inf, 0.0, 1e9):
-        [(s, t, d)] = hteen_build_hierarchy(net, [ch_ids], 50.0, 100.0, direct_r2)
+        [(s, t, d)] = hteen_build_hierarchy(net, [ch_ids], per_run(50.0), per_run(100.0),
+                                            per_run(direct_r2))
         assert np.array_equal(s, ch_ids)
         assert np.all(t == -1)
         assert np.array_equal(d, sink_d2(net, ch_ids, 50.0, 100.0))

@@ -1,6 +1,6 @@
 """Matrix sweeps: ordering, artifacts, reproducibility, failure naming,
-the worker pool against the serial path, and batches of seeds against
-each seed run alone."""
+the worker pool against the serial path, and batches of a protocol's
+runs (every sink and seed) against each run alone."""
 import concurrent.futures
 import dataclasses
 import multiprocessing
@@ -195,9 +195,10 @@ ORACLE_CASES = [(ORACLE_CFG, p) for p in ("leach", "teen", "deec", "hteen", "cam
 @pytest.mark.parametrize("backend", sorted(wsnsim.BACKENDS))
 @pytest.mark.parametrize("cfg, protocol", ORACLE_CASES)
 def test_batched_matrix_matches_solo_runs(monkeypatch, backend, cfg, protocol):
-    # On one CPU, run_matrix steps each sink's seeds as one batch; every run
-    # must equal the same seed run alone on the numpy fallback, row for row
-    # and in its final residual bytes, on every installed backend.
+    # On one CPU, run_matrix steps all of a protocol's runs, every sink and
+    # seed, as one batch; every run must equal the same combination run
+    # alone on the numpy fallback, row for row and in its final residual
+    # bytes, on every installed backend.
     batches = []
 
     class Recorded(runner.Engine):
@@ -212,7 +213,7 @@ def test_batched_matrix_matches_solo_runs(monkeypatch, backend, cfg, protocol):
     pin_cpus(monkeypatch, 1)
     monkeypatch.setattr(runner, "Engine", Recorded)
     swept = run_matrix(cfg, [protocol], SINKS, ORACLE_SEEDS)
-    assert batches == [len(ORACLE_SEEDS)] * len(SINKS)
+    assert batches == [len(SINKS) * len(ORACLE_SEEDS)]
     assert len(swept) == len(solo)
     for res in swept:
         want = solo[(res.summary.sink, res.seed)]
@@ -228,19 +229,22 @@ def test_batched_matrix_matches_solo_runs(monkeypatch, backend, cfg, protocol):
             assert np.any((heads == 0) & (alive > 0)), sink
 
 
-@pytest.mark.parametrize("pairs, seeds, workers, sizes", [
-    (10, [1, 2], 2, [2] * 10),            # the benchmark's paper sweep
-    (10, list(range(1, 11)), 2, [10] * 10),  # the acceptance sweep
-    (10, [1, 2, 3], 1, [3] * 10),          # serial: one batch per pair
-    (1, [1, 2, 3], 3, [1, 1, 1]),
-    (1, [1, 2, 3, 4, 5], 2, [2, 3]),
-    (2, [1, 2, 3, 4, 5], 3, [2, 3, 2, 3]),  # ceil(3 / 2) = 2 batches per pair
+@pytest.mark.parametrize("protocols, sinks, seeds, workers, sizes", [
+    pytest.param(5, 2, [1, 2], 2, [4] * 5, id="paper_sweep"),
+    pytest.param(5, 2, list(range(1, 11)), 2, [20] * 5, id="criterion_07"),
+    pytest.param(5, 3, [1, 2, 3], 1, [9] * 5, id="serial"),
+    # the middle batch spans both sinks
+    pytest.param(1, 2, [1, 2, 3], 3, [2, 2, 2], id="one_protocol_3_workers"),
+    pytest.param(1, 1, [1, 2, 3, 4, 5], 2, [2, 3], id="one_protocol_2_workers"),
+    # ceil(3 / 2) = 2 batches per protocol
+    pytest.param(2, 1, [1, 2, 3, 4, 5], 3, [2, 3, 2, 3], id="two_protocols_3_workers"),
 ])
-def test_matrix_batches_seeds_per_pair(pairs, seeds, workers, sizes):
-    # each pair's seeds, in ceil(workers / pairs) batches of consecutive
-    # seeds: every run once, in combination order
-    combos = [(k, m) for k in wsnsim.ProtocolKind for m in wsnsim.SinkMode][:pairs]
-    batches = runner._batches(combos, seeds, workers)
-    assert [len(b) for _, _, b in batches] == sizes
-    assert [(k, m, s) for k, m, b in batches for s in b] == [
-        (k, m, s) for k, m in combos for s in seeds]
+def test_matrix_batches_runs_per_protocol(protocols, sinks, seeds, workers, sizes):
+    # each protocol's (sink, seed) runs, in ceil(workers / protocols)
+    # batches of consecutive runs: every run once, in combination order
+    kinds = list(wsnsim.ProtocolKind)[:protocols]
+    runs = [(m, s) for m in list(wsnsim.SinkMode)[:sinks] for s in seeds]
+    batches = runner._batches(kinds, runs, workers)
+    assert [len(b) for _, b in batches] == sizes
+    assert [(k, m, s) for k, b in batches for m, s in b] == [
+        (k, m, s) for k in kinds for m, s in runs]
