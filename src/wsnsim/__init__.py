@@ -5,15 +5,8 @@ shared first-order radio model against a static or mobile data sink,
 producing per-round population/throughput/energy traces.
 """
 from ._kernels import BACKENDS, current_backend, default_backend, use_backend, warmup
-from .config import (
-    ScenarioConfig,
-    energy_params,
-    fingerprint,
-    parse_config,
-    parse_config_text,
-    protocol_config,
-)
-from .energy import EnergyParams, expected_round_energy
+from .config import ScenarioConfig, fingerprint, parse_config, parse_config_text
+from .energy import expected_round_energy
 from .engine import Engine
 from .metrics import (
     CSV_HEADER,
@@ -28,11 +21,10 @@ from .metrics import (
     write_csv,
     write_summary,
 )
-from .network import NetworkState, NodeTier, deploy, sense_environment
+from .network import NetworkState, deploy, sense_environment
 from .protocols import (
     DeecEligibility,
     EpochTracker,
-    ProtocolConfig,
     ProtocolKind,
     campteen_elect_chs,
     deec_average_energy,
@@ -46,7 +38,7 @@ from .protocols import (
     teen_gate_mask,
 )
 from .runner import RunResult, run_matrix, run_scenario
-from .sink import SinkMode, SinkState, sink_position
+from .sink import SinkMode, sink_position
 
 __version__ = "0.1.0"
 
@@ -54,12 +46,9 @@ __all__ = [
     "BACKENDS",
     "CSV_HEADER",
     "DeecEligibility",
-    "EnergyParams",
     "Engine",
     "EpochTracker",
     "NetworkState",
-    "NodeTier",
-    "ProtocolConfig",
     "ProtocolKind",
     "RoundMetrics",
     "RunHistory",
@@ -67,7 +56,6 @@ __all__ = [
     "RunSummary",
     "ScenarioConfig",
     "SinkMode",
-    "SinkState",
     "campteen_elect_chs",
     "current_backend",
     "deec_average_energy",
@@ -76,7 +64,6 @@ __all__ = [
     "deec_probabilities",
     "default_backend",
     "deploy",
-    "energy_params",
     "epoch_length",
     "expected_round_energy",
     "fingerprint",
@@ -86,7 +73,6 @@ __all__ = [
     "lifetime_round",
     "parse_config",
     "parse_config_text",
-    "protocol_config",
     "read_csv",
     "read_summary",
     "run_matrix",

@@ -9,9 +9,10 @@ unconverted.
 A `ScenarioConfig` checks itself when it is built and is frozen, so every
 path crosses the same checks: the constructor, `dataclasses.replace`,
 `parse_config` and the CLI.  Values of the wrong type are rejected, not
-converted.  A failure raises `ValueError` naming the key.  The lower layers
-(`EnergyParams`, `ProtocolConfig`, `SinkState`, `deploy`) take values from
-a checked config and do no range checks of their own.
+converted.  A failure raises `ValueError` naming the key.  The layers below
+read a checked config itself, and do no range checks of their own: the
+engine, the election rules, `sink_position` and `expected_round_energy`
+take the `ScenarioConfig`, and `deploy` takes its values.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .energy import EnergyParams
-from .protocols import ProtocolConfig, ProtocolKind
+from .protocols import ProtocolKind
 from .sink import SinkMode
 
 # intervals, as (test, what a failing value must be)
@@ -162,41 +162,6 @@ def parse_config(path=None, overrides: dict | None = None) -> ScenarioConfig:
             raise ValueError(f"configuration error: unknown key '{key}'")
         values[key] = _coerce(key, raw)
     return ScenarioConfig(**values)
-
-
-def energy_params(cfg: ScenarioConfig) -> EnergyParams:
-    return EnergyParams(
-        e_elec=cfg.e_elec_j, e_fs=cfg.e_fs_j, e_mp=cfg.e_mp_j,
-        e_da=cfg.e_da_j, packet_bits=cfg.packet_bits,
-    )
-
-
-def protocol_config(cfg: ScenarioConfig, kind: ProtocolKind) -> ProtocolConfig:
-    """Specialize the per-protocol tunables for one engine."""
-    hard, soft = cfg.hard_threshold, cfg.soft_threshold
-    if kind == ProtocolKind.HTEEN:
-        hard, soft = cfg.hteen_hard_threshold, cfg.hteen_soft_threshold
-    elif kind == ProtocolKind.CAMPTEEN:
-        hard, soft = cfg.camp_hard_threshold, cfg.camp_soft_threshold
-    het = {}
-    if kind == ProtocolKind.DEEC:
-        het = dict(
-            advanced_fraction=cfg.deec_advanced_fraction,
-            advanced_factor=cfg.deec_advanced_factor,
-            super_fraction=cfg.deec_super_fraction,
-            super_factor=cfg.deec_super_factor,
-        )
-    return ProtocolConfig(
-        p_opt=cfg.p_opt,
-        hard_threshold=hard,
-        soft_threshold=soft,
-        hierarchy_layers=cfg.hteen_layers,
-        layer_p=cfg.hteen_layer_p,
-        timer_k=cfg.camp_timer_k,
-        comm_range_m=cfg.camp_comm_range_m,
-        sink_range_m=cfg.sink_range_m,
-        **het,
-    )
 
 
 def fingerprint(cfg: ScenarioConfig) -> str:

@@ -22,6 +22,11 @@ CAMP-TEEN's cover, DEEC's population terms, and the tallies, which the
 engine takes per run from the kernels' per-node outcomes.  A run of one
 is the batch of one.
 
+Every run of a batch reads one validated `ScenarioConfig`: the engine
+derives the per-packet radio charges and the amplifier crossover from it
+once, and picks the reporting thresholds of its protocol (H-TEEN's and
+CAMP-TEEN's own pairs, the plain pair otherwise).
+
 Random draws per round are fixed-size and ordered (sensing, then
 election, one array per stage, indexed by node id) so a seed fully
 determines a run regardless of who is alive.  A run whose nodes are all
@@ -29,16 +34,17 @@ dead draws nothing, and a run that elects no head sends nothing.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import _kernels
-from .energy import EnergyParams, expected_round_energy
+from .energy import expected_round_energy
 from .metrics import RoundMetrics
 from .network import NetworkState, sense_environment, stack
 from .protocols import (
     DeecEligibility,
     EpochTracker,
-    ProtocolConfig,
     ProtocolKind,
     campteen_elect_chs,
     deec_average_energy,
@@ -50,7 +56,10 @@ from .protocols import (
     nearest_in_run,
     teen_gate_mask,
 )
-from .sink import SinkMode, SinkState, sink_position
+from .sink import SinkMode, sink_position
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 # Mean distance from a uniform point in a square field to its centre,
 # as a fraction of half the side length.
@@ -61,21 +70,25 @@ REACTIVE = (ProtocolKind.TEEN, ProtocolKind.HTEEN, ProtocolKind.CAMPTEEN)
 
 class Engine:
     """Protocol state machine for a batch of runs, each over its own
-    deployed network and toward its own sink (`sinks`, one per network);
-    all networks have the same size and field."""
+    deployed network and toward a sink of its own mode (`modes`, one per
+    network); all networks have `cfg`'s size and field."""
 
-    def __init__(self, kind: ProtocolKind, cfg: ProtocolConfig,
-                 energy: EnergyParams, nets: list[NetworkState],
-                 sinks: list[SinkState]):
+    def __init__(self, kind: ProtocolKind, cfg: ScenarioConfig,
+                 nets: list[NetworkState], modes: list[SinkMode]):
         self.kind = kind
         self.cfg = cfg
-        self.energy = energy
-        bits = energy.packet_bits
-        self._e_elec_b = bits * energy.e_elec
-        self._e_fs_b = bits * energy.e_fs
-        self._e_mp_b = bits * energy.e_mp
-        self._e_da_b = bits * energy.e_da
-        self._d0sq = energy.d0_sq
+        bits = cfg.packet_bits
+        self._e_elec_b = bits * cfg.e_elec_j
+        self._e_fs_b = bits * cfg.e_fs_j
+        self._e_mp_b = bits * cfg.e_mp_j
+        self._e_da_b = bits * cfg.e_da_j
+        self._d0sq = cfg.e_fs_j / cfg.e_mp_j  # squared amplifier crossover d0
+        if kind == ProtocolKind.HTEEN:
+            self._gate = (cfg.hteen_hard_threshold, cfg.hteen_soft_threshold)
+        elif kind == ProtocolKind.CAMPTEEN:
+            self._gate = (cfg.camp_hard_threshold, cfg.camp_soft_threshold)
+        else:
+            self._gate = (cfg.hard_threshold, cfg.soft_threshold)
         self.nets = list(nets)
         self.net = net = stack(self.nets)
         self.runs = runs = net.runs
@@ -84,27 +97,26 @@ class Engine:
         # each run's sink: a static one stays where round 0 puts it, a
         # mobile one moves each round and short-circuits heads within
         # `sink_range_m`
-        at_start = [sink_position(sink, 0) for sink in sinks]
+        at_start = [sink_position(cfg, mode, 0) for mode in modes]
         self._sink_x = np.array([x for x, _ in at_start])
         self._sink_y = np.array([y for _, y in at_start])
-        self._mobile = [(r, sink) for r, sink in enumerate(sinks)
-                        if sink.mode == SinkMode.MOBILE_TOP]
+        self._mobile = [r for r, mode in enumerate(modes) if mode == SinkMode.MOBILE_TOP]
         r2 = cfg.sink_range_m * cfg.sink_range_m
-        self._direct_r2 = np.array([r2 if sink.mode == SinkMode.MOBILE_TOP else -np.inf
-                                    for sink in sinks])
+        self._direct_r2 = np.array([r2 if mode == SinkMode.MOBILE_TOP else -np.inf
+                                    for mode in modes])
         # one row of draws per run and round: sensing, then each election stage
-        stages = 1 + (cfg.hierarchy_layers if kind == ProtocolKind.HTEEN else 1)
+        stages = 1 + (cfg.hteen_layers if kind == ProtocolKind.HTEEN else 1)
         self._draws = np.zeros((runs, stages, n))
         if kind in (ProtocolKind.LEACH, ProtocolKind.TEEN):
             self.tracker = EpochTracker(net.n, cfg.p_opt)
         elif kind == ProtocolKind.HTEEN:
-            self.trackers = [EpochTracker(net.n, cfg.layer_p)
-                             for _ in range(cfg.hierarchy_layers)]
+            self.trackers = [EpochTracker(net.n, cfg.hteen_layer_p)
+                             for _ in range(cfg.hteen_layers)]
         elif kind == ProtocolKind.DEEC:
             self.elig = DeecEligibility(net.n)
             clusters = max(1, round(n * cfg.p_opt))
             d_bs = MEAN_BS_DISTANCE_FACTOR * net.field_m / 2.0
-            e_round = expected_round_energy(energy, clusters, n, net.field_m, d_bs)
+            e_round = expected_round_energy(cfg, clusters, d_bs)
             self.lifetime_estimates = [deec_lifetime_estimate(run.e_total, e_round)
                                        for run in self.nets]
 
@@ -124,10 +136,10 @@ class Engine:
                    for run, estimate in zip(self.nets, self.lifetime_estimates)]
             return [deec_elect_chs(net, self.cfg, self.elig, rnd, avg, u[0])], None
         if self.kind == ProtocolKind.HTEEN:
-            base = leach_elect_chs(net, self.cfg.layer_p, self.trackers[0], rnd, u[0])
+            layer_p = self.cfg.hteen_layer_p
+            base = leach_elect_chs(net, layer_p, self.trackers[0], rnd, u[0])
             tiers = hteen_promote_layers(
-                net, base, self.cfg.hierarchy_layers, self.trackers,
-                self.cfg.layer_p, rnd, u[1:],
+                net, base, self.cfg.hteen_layers, self.trackers, layer_p, rnd, u[1:],
             )
             return tiers, None
         ch_ids, ch_of = campteen_elect_chs(net, self.cfg, u[0])
@@ -160,8 +172,7 @@ class Engine:
         # reporting gates (the election touches none of their inputs); a
         # run without a head sends nothing this round
         if self.kind in REACTIVE:
-            gate = teen_gate_mask(net.sensed, net.last_tx, alive0,
-                                  self.cfg.hard_threshold, self.cfg.soft_threshold)
+            gate = teen_gate_mask(net.sensed, net.last_tx, alive0, *self._gate)
         else:
             gate = alive0
         if not ch_count.all():
@@ -210,8 +221,8 @@ class Engine:
         # forward aggregates tier by tier from the bottom up; with a mobile
         # sink any head within `sink_range_m` skips the hierarchy
         sx, sy = self._sink_x, self._sink_y
-        for r, sink in self._mobile:
-            sx[r], sy[r] = sink_position(sink, rnd)
+        for r in self._mobile:
+            sx[r], sy[r] = sink_position(self.cfg, SinkMode.MOBILE_TOP, rnd)
         reached = []  # the heads whose packets reached the sink
         for senders, target, tx_d2 in hteen_build_hierarchy(net, tiers, sx, sy,
                                                              self._direct_r2):

@@ -12,23 +12,15 @@ elementwise work over the stack is the same work done per run.
 """
 from __future__ import annotations
 
-from enum import IntEnum
-
 import numpy as np
 
 SENSED_MIN = 0.0
 SENSED_MAX = 200.0
 
 
-class NodeTier(IntEnum):
-    NORMAL = 0
-    ADVANCED = 1
-    SUPER = 2
-
-
 # the per-node arrays of a NetworkState
-_NODE_ARRAYS = ("x", "y", "tier", "energy_factor", "initial_energy",
-                "residual", "sensed", "last_tx")
+_NODE_ARRAYS = ("x", "y", "energy_factor", "initial_energy", "residual",
+                "sensed", "last_tx")
 
 
 class NetworkState:
@@ -37,11 +29,10 @@ class NetworkState:
     `runs` is the number of equal runs stacked into it (see `stack`).
     """
 
-    def __init__(self, x, y, tier, energy_factor, initial_energy, field_m):
+    def __init__(self, x, y, energy_factor, initial_energy, field_m):
         self.runs = 1
         self.x = x
         self.y = y
-        self.tier = tier
         self.energy_factor = energy_factor
         self.initial_energy = initial_energy
         self.residual = initial_energy.copy()
@@ -84,14 +75,11 @@ def deploy(
 
     n_super = int(super_fraction * node_count)
     n_adv = int(advanced_fraction * node_count)
-    tier = np.zeros(node_count, np.int64)
     factor = np.zeros(node_count)
-    tier[:n_super] = NodeTier.SUPER
     factor[:n_super] = super_factor
-    tier[n_super:n_super + n_adv] = NodeTier.ADVANCED
     factor[n_super:n_super + n_adv] = advanced_factor
     initial = initial_energy_j * (1.0 + factor)
-    return NetworkState(x, y, tier, factor, initial, field_m)
+    return NetworkState(x, y, factor, initial, field_m)
 
 
 def stack(nets: list[NetworkState]) -> NetworkState:
@@ -106,7 +94,7 @@ def stack(nets: list[NetworkState]) -> NetworkState:
     size = nets[0].n
     whole = {name: np.concatenate([getattr(net, name) for net in nets])
              for name in _NODE_ARRAYS}
-    out = NetworkState(whole["x"], whole["y"], whole["tier"], whole["energy_factor"],
+    out = NetworkState(whole["x"], whole["y"], whole["energy_factor"],
                        whole["initial_energy"], nets[0].field_m)
     out.runs = len(nets)
     for name, array in whole.items():

@@ -16,13 +16,16 @@ and cover, and the nearest next-tier head.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _kernels
 from .network import NetworkState
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 
 class ProtocolKind(IntEnum):
@@ -39,24 +42,6 @@ class ProtocolKind(IntEnum):
             if kind.name == key:
                 return kind
         raise ValueError(f"unknown protocol: {name!r}")
-
-
-@dataclass
-class ProtocolConfig:
-    """Per-protocol tunables; only the fields a protocol reads matter to it."""
-
-    p_opt: float = 0.1
-    hard_threshold: float = 100.0
-    soft_threshold: float = 2.0
-    hierarchy_layers: int = 3          # CH tiers above the member layer
-    layer_p: float = 0.1               # head fraction at each tier
-    timer_k: float = 1.0
-    comm_range_m: float = 25.0
-    sink_range_m: float = 25.0         # mobile sink short-circuit radius
-    advanced_fraction: float = 0.0
-    advanced_factor: float = 0.0
-    super_fraction: float = 0.0
-    super_factor: float = 0.0
 
 
 def epoch_length(p: float) -> int:
@@ -188,7 +173,7 @@ class DeecEligibility:
 
 def deec_elect_chs(
     net: NetworkState,
-    cfg: ProtocolConfig,
+    cfg: ScenarioConfig,
     elig: DeecEligibility,
     rnd: int,
     avg_energy: float,
@@ -197,9 +182,10 @@ def deec_elect_chs(
     """Energy-weighted threshold election; returns elected ids (ascending).
 
     `avg_energy` is the announced average, one for every run of `net` or
-    one per run.  When a run's average has decayed to zero its
-    probabilities saturate at 1 (their limiting value), so surviving nodes
-    keep electing instead of stalling.
+    one per run.  Reads `cfg.p_opt`, and weighs by the multi-level form
+    when `cfg.deec_super_fraction` is positive.  When a run's average has
+    decayed to zero its probabilities saturate at 1 (their limiting value),
+    so surviving nodes keep electing instead of stalling.
     """
     alive = net.residual > 0.0
     residual = net.residual.reshape(net.runs, -1)
@@ -208,7 +194,8 @@ def deec_elect_chs(
 
     def weighted(announced):
         return deec_probabilities(residual, net.energy_factor.reshape(net.runs, -1),
-                                  announced, cfg.p_opt, multi_level=cfg.super_fraction > 0.0)
+                                  announced, cfg.p_opt,
+                                  multi_level=cfg.deec_super_fraction > 0.0)
 
     if live.all():
         p = weighted(avg)
@@ -330,31 +317,32 @@ def nearest_in_run(net: NetworkState, points: np.ndarray, sites: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def campteen_elect_chs(
-    net: NetworkState, cfg: ProtocolConfig, alpha: np.ndarray
+    net: NetworkState, cfg: ScenarioConfig, alpha: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Timer-ordered greedy cover of the range graph.
 
-    Each alive node's back-off timer is timer_k / E - alpha, with E its
+    Each alive node's back-off timer is camp_timer_k / E - alpha, with E its
     residual over its initial energy, so richer nodes fire earlier.  Nodes
-    fire by ascending timer (ties by id); a node out of range of
-    every elected head becomes one and captures its uncovered neighbours.
-    Each run of `net` is ordered and covered on its own.
-    Returns (head ids ascending, ch_of array with -1 for dead nodes).
+    fire by ascending timer (ties by id); a node out of range
+    (`camp_comm_range_m`) of every elected head becomes one and captures
+    its uncovered neighbours.  Each run of `net` is ordered and covered on
+    its own.  Returns (head ids ascending, ch_of array with -1 for dead nodes).
     """
     alive = net.residual > 0.0
     e_norm = np.where(alive, net.residual / net.initial_energy, 1.0)
-    timer = cfg.timer_k / e_norm - alpha
+    timer = cfg.camp_timer_k / e_norm - alpha
     timer = np.where(alive, timer, np.inf).reshape(net.runs, -1)
     # dead nodes' infinite timers sort last, after the finite ones
     orders = np.argsort(timer, axis=1, kind="stable").astype(np.int64)
     finite = np.count_nonzero(np.isfinite(timer), axis=1).tolist()
     size = net.run_size
+    range2 = cfg.camp_comm_range_m * cfg.camp_comm_range_m
     ch_of = np.full(net.n, -1, np.int64)
     for r, k in enumerate(finite):
         if k:
             lo, hi = r * size, (r + 1) * size
             cover = _kernels.greedy_cover(orders[r, :k], net.x[lo:hi], net.y[lo:hi],
-                                          ~alive[lo:hi], cfg.comm_range_m * cfg.comm_range_m)
+                                          ~alive[lo:hi], range2)
             ch_of[lo:hi] = np.where(cover < 0, -1, cover + lo)
     ids = np.where(ch_of == np.arange(net.n))[0].astype(np.int64)
     return ids, ch_of

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, energy_params, fingerprint, protocol_config
+from .config import ScenarioConfig, fingerprint
 from .engine import Engine
 from .metrics import RunHistory, RunSummary, summarize, write_csv, write_summary
 from .network import NetworkState, deploy
 from .protocols import ProtocolKind
-from .sink import SinkMode, SinkState
+from .sink import SinkMode
 
 SUMMARY_FILENAME = "summary.json"
 
@@ -62,20 +62,18 @@ def _run_batch(cfg: ScenarioConfig, kind: ProtocolKind,
     rebound to a wrapper (a tracer's) that does not pickle.
     """
     rngs = [np.random.default_rng([seed, int(kind), int(mode)]) for mode, seed in runs]
-    pcfg = protocol_config(cfg, kind)
-    nets = [
-        deploy(
-            cfg.nodes, cfg.field_m, cfg.initial_energy_j, rng,
-            advanced_fraction=pcfg.advanced_fraction,
-            advanced_factor=pcfg.advanced_factor,
-            super_fraction=pcfg.super_fraction,
-            super_factor=pcfg.super_factor,
+    # only the energy-aware protocol deploys heterogeneous energy tiers
+    tiers = {}
+    if kind == ProtocolKind.DEEC:
+        tiers = dict(
+            advanced_fraction=cfg.deec_advanced_fraction,
+            advanced_factor=cfg.deec_advanced_factor,
+            super_fraction=cfg.deec_super_fraction,
+            super_factor=cfg.deec_super_factor,
         )
-        for rng in rngs
-    ]
-    sinks = [SinkState(mode, cfg.field_m, cfg.sink_step_m, cfg.sink_pause_rounds)
-             for mode, _ in runs]
-    eng = Engine(kind, pcfg, energy_params(cfg), nets, sinks)
+    nets = [deploy(cfg.nodes, cfg.field_m, cfg.initial_energy_j, rng, **tiers)
+            for rng in rngs]
+    eng = Engine(kind, cfg, nets, [mode for mode, _ in runs])
     hists = [RunHistory() for _ in runs]
     for rnd in range(cfg.rounds):
         for hist, metrics in zip(hists, eng.step(rnd, rngs)):

@@ -10,6 +10,7 @@ protocols x {static_center, mobile_top} x seeds 1..10, 100 nodes, 5000
 rounds, default configuration.  Seed means are deterministic, so the
 thresholds below are stable, not statistical.
 """
+import math
 import time
 
 import numpy as np
@@ -17,10 +18,11 @@ import pytest
 
 from wsnsim import (
     BACKENDS,
-    EnergyParams,
+    Engine,
     EpochTracker,
-    ProtocolConfig,
+    ProtocolKind,
     ScenarioConfig,
+    SinkMode,
     campteen_elect_chs,
     deploy,
     deec_probabilities,
@@ -123,20 +125,26 @@ def test_criterion_03_energy_conservation(report):
 def test_criterion_04_radio_model_continuity(report):
     # the transmit charge that the charging kernels take from a residual of
     # 0.5 J just below, just above and at the amplifier crossover d0: a
-    # member's packet to its head, and a head's one-signal forward to the sink
-    p = EnergyParams()
-    e_elec_b, e_fs_b, e_mp_b, e_da_b = (p.packet_bits * e
-                                        for e in (p.e_elec, p.e_fs, p.e_mp, p.e_da))
-    d2 = np.array([p.d0 - 1e-6, p.d0 + 1e-6, p.d0]) ** 2
+    # member's packet to its head, and a head's one-signal forward to the
+    # sink; the charges and d0 are the ones an engine derives from the
+    # default configuration
+    cfg = ScenarioConfig()
+    eng = Engine(ProtocolKind.LEACH, cfg,
+                 [deploy(cfg.nodes, cfg.field_m, cfg.initial_energy_j, np.random.default_rng(0))],
+                 [SinkMode.STATIC_CENTER])
+    e_elec_b, e_fs_b, e_mp_b, e_da_b, d0_sq = (eng._e_elec_b, eng._e_fs_b, eng._e_mp_b,
+                                               eng._e_da_b, eng._d0sq)
+    d0 = math.sqrt(d0_sq)
+    d2 = np.array([d0 - 1e-6, d0 + 1e-6, d0]) ** 2
     worst = 0.0
     for impl in BACKENDS.values():
         member = np.full(6, 0.5)
         impl["member_phase"](np.ones(6, np.bool_), np.array([3, 4, 5, -1, -1, -1]),
                              np.concatenate([d2, np.zeros(3)]), member,
-                             e_elec_b, e_fs_b, e_mp_b, p.d0_sq)
+                             e_elec_b, e_fs_b, e_mp_b, d0_sq)
         head = np.full(3, 0.5)
         impl["relay_phase"](np.arange(3), np.ones(3, np.int64), head, d2, np.full(3, -1),
-                            e_elec_b, e_fs_b, e_mp_b, e_da_b, p.d0_sq)
+                            e_elec_b, e_fs_b, e_mp_b, e_da_b, d0_sq)
         for below, above, at in (0.5 - member[:3], 0.5 - e_da_b - head):
             worst = max(worst, abs(below - above) / at)
     report(4, worst < 1e-6, f"transmit charge jump at d0 in member_phase and relay_phase, "
@@ -147,14 +155,14 @@ def test_criterion_05_cover_election_oracle(report):
     # 50 instances <= 20 nodes: elected heads must equal the brute-force
     # greedy-by-timer cover and form an independent set in the range graph
     rng = np.random.default_rng(55)
-    cfg = ProtocolConfig(comm_range_m=25.0)
+    cfg = ScenarioConfig(camp_comm_range_m=25.0)
     bad = 0
     for _ in range(50):
         net = deploy(int(rng.integers(2, 21)), 100.0, 0.5, rng)
         alpha = rng.random(net.n)
         ids, ch_of = campteen_elect_chs(net, cfg, alpha)
 
-        order = sorted(range(net.n), key=lambda i: (cfg.timer_k - alpha[i], i))
+        order = sorted(range(net.n), key=lambda i: (cfg.camp_timer_k - alpha[i], i))
         heads, owner = [], {}
         for i in order:
             if i in owner:

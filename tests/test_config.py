@@ -5,13 +5,10 @@ from functools import partial
 import pytest
 
 from wsnsim import (
-    ProtocolKind,
     ScenarioConfig,
-    energy_params,
     fingerprint,
     parse_config,
     parse_config_text,
-    protocol_config,
     run_matrix,
     run_scenario,
 )
@@ -109,33 +106,6 @@ def test_validation_failures_name_the_key():
         parse_config(None, {"protocol": "gossip"})
     with pytest.raises(ValueError, match="tier fractions must sum to <= 1"):
         parse_config(None, {"deec_advanced_fraction": "0.6", "deec_super_fraction": "0.5"})
-
-
-def test_energy_params_projection():
-    cfg = ScenarioConfig(e_elec_j=60e-9, packet_bits=2000)
-    p = energy_params(cfg)
-    assert p.e_elec == 60e-9
-    assert p.packet_bits == 2000
-    assert p.e_fs == cfg.e_fs_j
-
-
-def test_protocol_config_threshold_selection():
-    cfg = ScenarioConfig()
-    assert protocol_config(cfg, ProtocolKind.TEEN).hard_threshold == 100.0
-    assert protocol_config(cfg, ProtocolKind.HTEEN).hard_threshold == 130.0
-    assert protocol_config(cfg, ProtocolKind.CAMPTEEN).hard_threshold == 198.0
-
-
-def test_protocol_config_heterogeneity_only_for_energy_aware():
-    cfg = ScenarioConfig()
-    deec = protocol_config(cfg, ProtocolKind.DEEC)
-    assert deec.advanced_fraction == 0.2
-    assert deec.super_fraction == 0.1
-    for kind in (ProtocolKind.LEACH, ProtocolKind.TEEN,
-                 ProtocolKind.HTEEN, ProtocolKind.CAMPTEEN):
-        pcfg = protocol_config(cfg, kind)
-        assert pcfg.advanced_fraction == 0.0
-        assert pcfg.super_fraction == 0.0
 
 
 def test_fingerprint_tracks_values():

@@ -14,11 +14,27 @@ import numpy as np
 import pytest
 
 from wsnsim import _kernels
-from wsnsim import EnergyParams, expected_round_energy
+from wsnsim import (
+    Engine,
+    ProtocolKind,
+    ScenarioConfig,
+    SinkMode,
+    deploy,
+    expected_round_energy,
+)
 
-P = EnergyParams()  # 50nJ/bit electronics, fs/mp amplifier, 4000-bit packets
-# the per-packet constants, as the engine derives them
-E_ELEC_B, E_FS_B, E_MP_B, E_DA_B = (P.packet_bits * e for e in (P.e_elec, P.e_fs, P.e_mp, P.e_da))
+
+def engine_radio(cfg):
+    """The per-packet charges and the squared crossover d0^2 that an engine
+    derives from `cfg`, in the order the charging kernels take them."""
+    net = deploy(cfg.nodes, cfg.field_m, cfg.initial_energy_j, np.random.default_rng(0))
+    eng = Engine(ProtocolKind.LEACH, cfg, [net], [SinkMode.STATIC_CENTER])
+    return eng._e_elec_b, eng._e_fs_b, eng._e_mp_b, eng._e_da_b, eng._d0sq
+
+
+CFG = ScenarioConfig()  # 50nJ/bit electronics, fs/mp amplifier, 4000-bit packets
+E_ELEC_B, E_FS_B, E_MP_B, E_DA_B, D0_SQ = engine_radio(CFG)
+D0 = math.sqrt(D0_SQ)
 RX = 0.00019999999999999998  # electronics charge of one 4000-bit packet
 COPIES = _kernels._LOOP_BELOW  # copies of each case that send a call down the vectorized path
 # (backend's kernels, vectorized path?)
@@ -50,7 +66,7 @@ def member_after(impl, vectorized, sender, distance, head):
         assign = np.concatenate([np.arange(m, 2 * m), np.full(m, -1)])
         d2ch = np.concatenate([distance * distance, np.zeros(m)])
         received = impl["member_phase"](np.ones(2 * m, np.bool_), assign, d2ch, residual,
-                                        E_ELEC_B, E_FS_B, E_MP_B, P.d0_sq)
+                                        E_ELEC_B, E_FS_B, E_MP_B, D0_SQ)
         return residual[:m], residual[m:], received[m:]
     return on_path(call, vectorized, sender, distance, head)
 
@@ -64,18 +80,18 @@ def relay_after(impl, vectorized, sender, signals, distance):
         residual = sender.copy()
         to_sink = impl["relay_phase"](np.arange(m), signals.astype(np.int64), residual,
                                       distance * distance, np.full(m, -1),
-                                      E_ELEC_B, E_FS_B, E_MP_B, E_DA_B, P.d0_sq)
+                                      E_ELEC_B, E_FS_B, E_MP_B, E_DA_B, D0_SQ)
         return residual, to_sink
     return on_path(call, vectorized, sender, signals, distance)
 
 
 def test_crossover_distance_is_derived_not_hardcoded():
-    assert P.d0 == 87.70580193070292
-    assert P.d0_sq == 7692.3076923076915
-    assert P.d0 == math.sqrt(P.e_fs / P.e_mp)
+    assert D0 == 87.70580193070292
+    assert D0_SQ == 7692.3076923076915
+    assert D0 == math.sqrt(CFG.e_fs_j / CFG.e_mp_j)
     # scaling the amplifier constants moves the crossover accordingly
-    q = EnergyParams(e_fs=40e-12)
-    assert q.d0 == pytest.approx(2 * P.d0)
+    q_d0_sq = engine_radio(ScenarioConfig(e_fs_j=40e-12))[-1]
+    assert math.sqrt(q_d0_sq) == pytest.approx(2 * D0)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +118,7 @@ def test_tx_energy_frozen_values(distance, expected):
 def test_tx_energy_continuous_at_crossover():
     # the two amplifier branches agree at d0 by construction
     for impl, vec in PATHS:
-        after, _, _ = member_after(impl, vec, 0.5, [P.d0 - 1e-6, P.d0 + 1e-6, P.d0], 0.5)
+        after, _, _ = member_after(impl, vec, 0.5, [D0 - 1e-6, D0 + 1e-6, D0], 0.5)
         assert after[2] == 0.5 - 0.0005076923076923076
         below, above, at = 0.5 - after
         assert abs(below - above) / at < 1e-6
@@ -157,10 +173,10 @@ def test_charges_floor_at_zero_and_kill():
 
 def test_expected_round_energy_frozen_value():
     # 10 clusters, 100 nodes, 100 m field, BS offset 0.765 * 50
-    assert expected_round_energy(P, 10, 100, 100.0, 38.25) == 0.04274792847007071
+    assert expected_round_energy(CFG, 10, 38.25) == 0.04274792847007071
 
 
 def test_expected_round_energy_has_interior_minimum():
-    costs = {k: expected_round_energy(P, k, 100, 100.0, 38.25) for k in range(1, 80)}
+    costs = {k: expected_round_energy(CFG, k, 38.25) for k in range(1, 80)}
     best = min(costs, key=costs.get)
     assert 1 < best < 79  # electronics/amplifier trade-off bottoms out inside

@@ -5,16 +5,13 @@ import pytest
 from wsnsim import _kernels
 from wsnsim import (
     Engine,
-    EnergyParams,
-    ProtocolConfig,
     ProtocolKind,
     ScenarioConfig,
     SinkMode,
-    SinkState,
     deploy,
     run_scenario,
 )
-from wsnsim import runner
+from wsnsim import engine, runner
 
 
 def run_short(protocol, sink="static_center", rounds=300, seed=2, **cfg_kw):
@@ -144,8 +141,7 @@ def test_soft_threshold_suppresses_stagnant_readings():
 
 def test_last_transmission_tracks_sent_values():
     net = deploy(30, 100.0, 0.5, np.random.default_rng(5))
-    eng = Engine(ProtocolKind.TEEN, ProtocolConfig(), EnergyParams(), [net],
-                 [SinkState(SinkMode.STATIC_CENTER, 100.0)])
+    eng = Engine(ProtocolKind.TEEN, ScenarioConfig(nodes=30), [net], [SinkMode.STATIC_CENTER])
     rng = np.random.default_rng(6)
     eng.step(0, [rng])
     reported = ~np.isnan(net.last_tx)
@@ -154,6 +150,84 @@ def test_last_transmission_tracks_sent_values():
     assert np.array_equal(net.last_tx[reported], net.sensed[reported])
     # nobody below the hard threshold may have reported
     assert np.all(net.sensed[reported] >= 100.0)
+
+
+def test_engine_gates_each_protocol_on_its_own_thresholds(monkeypatch):
+    # the reactive gate of each protocol gets that protocol's (hard, soft)
+    # pair from the config; all six thresholds differ, so reading any other
+    # field (even one of equal default) shows
+    cfg = ScenarioConfig(nodes=30, hard_threshold=90.0, soft_threshold=1.0,
+                         hteen_hard_threshold=120.0, hteen_soft_threshold=2.5,
+                         camp_hard_threshold=150.0, camp_soft_threshold=3.5)
+    real, seen = engine.teen_gate_mask, []
+
+    def spy(sensed, last_tx, alive, hard, soft):
+        seen.append((hard, soft))
+        return real(sensed, last_tx, alive, hard, soft)
+
+    monkeypatch.setattr(engine, "teen_gate_mask", spy)
+    want = {ProtocolKind.TEEN: (90.0, 1.0), ProtocolKind.HTEEN: (120.0, 2.5),
+            ProtocolKind.CAMPTEEN: (150.0, 3.5)}
+    for kind, pair in want.items():
+        net = deploy(30, 100.0, 0.5, np.random.default_rng(5))
+        eng = Engine(kind, cfg, [net], [SinkMode.STATIC_CENTER])
+        for rnd in range(3):
+            eng.step(rnd, [np.random.default_rng(rnd)])
+        assert seen == [pair] * 3
+        seen.clear()
+    # the proactive protocols report without a gate
+    for kind in (ProtocolKind.LEACH, ProtocolKind.DEEC):
+        net = deploy(30, 100.0, 0.5, np.random.default_rng(5))
+        Engine(kind, cfg, [net], [SinkMode.STATIC_CENTER]).step(0, [np.random.default_rng(0)])
+    assert seen == []
+
+
+def test_engine_elects_with_each_protocols_own_fields(monkeypatch):
+    # fields that share a default with another field are set apart here
+    # (p_opt and hteen_layer_p, camp_comm_range_m and sink_range_m), so an
+    # election that reads the wrong one shows
+    cfg = ScenarioConfig(nodes=30, p_opt=0.2, hteen_layer_p=0.3,
+                         camp_comm_range_m=20.0, sink_range_m=35.0)
+    probs, ranges = [], []
+    leach, promote = engine.leach_elect_chs, engine.hteen_promote_layers
+    cover = _kernels.greedy_cover
+
+    def leach_spy(net, p, *args):
+        probs.append(p)
+        return leach(net, p, *args)
+
+    def promote_spy(net, base, layers, trackers, layer_p, *args):
+        probs.append(layer_p)
+        return promote(net, base, layers, trackers, layer_p, *args)
+
+    def cover_spy(*args):
+        ranges.append(args[-1])
+        return cover(*args)
+
+    monkeypatch.setattr(engine, "leach_elect_chs", leach_spy)
+    monkeypatch.setattr(engine, "hteen_promote_layers", promote_spy)
+    monkeypatch.setattr(_kernels, "greedy_cover", cover_spy)
+    want = {ProtocolKind.LEACH: ([0.2], []), ProtocolKind.TEEN: ([0.2], []),
+            ProtocolKind.HTEEN: ([0.3, 0.3], []), ProtocolKind.CAMPTEEN: ([], [400.0])}
+    for kind, (p, r2) in want.items():
+        net = deploy(30, 100.0, 0.5, np.random.default_rng(5))
+        Engine(kind, cfg, [net], [SinkMode.MOBILE_TOP]).step(0, [np.random.default_rng(0)])
+        assert (probs, ranges) == (p, r2)
+        probs.clear()
+        ranges.clear()
+
+
+def test_engine_takes_radio_charges_from_config():
+    # per-packet charges are the per-bit constants times the payload, and
+    # the squared crossover the ratio of the amplifier constants
+    cfg = ScenarioConfig(nodes=30, e_elec_j=60e-9, e_da_j=4e-9, packet_bits=2000)
+    eng = Engine(ProtocolKind.LEACH, cfg, [deploy(30, 100.0, 0.5, np.random.default_rng(5))],
+                 [SinkMode.STATIC_CENTER])
+    assert eng._e_elec_b == 2000 * 60e-9
+    assert eng._e_fs_b == 2000 * cfg.e_fs_j
+    assert eng._e_mp_b == 2000 * cfg.e_mp_j
+    assert eng._e_da_b == 2000 * 4e-9
+    assert eng._d0sq == cfg.e_fs_j / cfg.e_mp_j
 
 
 def test_mobile_short_circuit_delivers_directly():
@@ -226,8 +300,8 @@ def test_draws_per_round_do_not_depend_on_deaths(kind, stages):
     nets = [deploy(30, 100.0, 0.5, np.random.default_rng(s)) for s in (5, 6, 7)]
     nets[0].residual[::2] = 0.0   # half dead
     nets[1].residual[:] = 0.0     # extinct
-    eng = Engine(kind, ProtocolConfig(), EnergyParams(), nets,
-                 [SinkState(SinkMode.STATIC_CENTER, 100.0)] * 3)
+    cfg = ScenarioConfig(nodes=30, hteen_hard_threshold=100.0, camp_hard_threshold=100.0)
+    eng = Engine(kind, cfg, nets, [SinkMode.STATIC_CENTER] * 3)
     rngs = [np.random.default_rng(s) for s in (8, 9, 10)]
     eng.step(0, rngs)
     for rng, seed, drawn in zip(rngs, (8, 9, 10), (stages, 0, stages)):

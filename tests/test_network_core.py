@@ -3,7 +3,7 @@ membership."""
 import numpy as np
 import pytest
 
-from wsnsim import NodeTier, deploy, sense_environment
+from wsnsim import deploy, sense_environment
 from wsnsim.network import stack
 from wsnsim.protocols import nearest_in_run
 
@@ -24,7 +24,7 @@ def test_deploy_positions_inside_field_and_reproducible():
 def test_deploy_homogeneous_energy():
     net = fresh()
     assert np.all(net.residual == 0.5)
-    assert np.all(net.tier == NodeTier.NORMAL)
+    assert np.all(net.energy_factor == 0.0)
     assert net.e_total == pytest.approx(50.0)
     assert np.count_nonzero(net.residual > 0.0) == 100
 
@@ -32,11 +32,11 @@ def test_deploy_homogeneous_energy():
 def test_deploy_heterogeneous_tiers():
     net = fresh(advanced_fraction=0.2, advanced_factor=2.0,
                 super_fraction=0.1, super_factor=4.0)
-    # tier ids occupy a fixed prefix so runs are comparable across seeds
-    assert np.count_nonzero(net.tier == NodeTier.SUPER) == 10
-    assert np.count_nonzero(net.tier == NodeTier.ADVANCED) == 20
-    assert np.all(net.tier[:10] == NodeTier.SUPER)
-    assert np.all(net.tier[10:30] == NodeTier.ADVANCED)
+    # tiers occupy a fixed prefix of ids so runs are comparable across seeds
+    assert np.count_nonzero(net.energy_factor == 4.0) == 10
+    assert np.count_nonzero(net.energy_factor == 2.0) == 20
+    assert np.all(net.energy_factor[:10] == 4.0) and np.all(net.initial_energy[:10] == 2.5)
+    assert np.all(net.energy_factor[10:30] == 2.0) and np.all(net.initial_energy[10:30] == 1.5)
     assert net.residual[0] == 0.5 * (1 + 4.0)
     assert net.residual[10] == 0.5 * (1 + 2.0)
     assert net.residual[99] == 0.5

@@ -16,8 +16,8 @@ from wsnsim import _kernels
 from wsnsim import (
     DeecEligibility,
     EpochTracker,
-    ProtocolConfig,
     ProtocolKind,
+    ScenarioConfig,
     campteen_elect_chs,
     deec_average_energy,
     deec_elect_chs,
@@ -261,7 +261,7 @@ def test_deec_weighs_each_stacked_run_against_its_own_population():
             assert rows[r].tobytes() == want.tobytes()
     for super_fraction, avg_now in itertools.product((0.3, 0.0), ([0.21, 0.37, 0.05],
                                                                  [0.21, 0.0, 0.05])):
-        cfg = ProtocolConfig(p_opt=0.1, super_fraction=super_fraction)
+        cfg = ScenarioConfig(p_opt=0.1, deec_super_fraction=super_fraction)
         u = rng.random(120)
         solo = [deec_elect_chs(copy.deepcopy(net), cfg, DeecEligibility(40), 7, a,
                                u[40 * r:40 * (r + 1)]) + 40 * r
@@ -276,7 +276,8 @@ def test_deec_richer_nodes_elect_more_often():
     # empirical frequency over many rounds must order by residual energy
     net = deploy(100, 100.0, 0.5, np.random.default_rng(4),
                  advanced_fraction=0.2, advanced_factor=2.0)
-    cfg = ProtocolConfig(advanced_fraction=0.2, advanced_factor=2.0)
+    cfg = ScenarioConfig(deec_advanced_fraction=0.2, deec_advanced_factor=2.0,
+                         deec_super_fraction=0.0)
     elig = DeecEligibility(net.n)
     rng = np.random.default_rng(8)
     terms = np.zeros(net.n, int)
@@ -291,7 +292,7 @@ def test_deec_saturates_when_average_hits_zero():
     # past the lifetime estimate every surviving node elects each round
     net = small_net()
     net.residual[0] = 0.0
-    cfg = ProtocolConfig()
+    cfg = ScenarioConfig(deec_super_fraction=0.0)
     elig = DeecEligibility(net.n)
     ids = deec_elect_chs(net, cfg, elig, 3000, 0.0, np.random.default_rng(1).random(net.n))
     assert len(ids) == 99
@@ -485,7 +486,7 @@ def test_campteen_fires_in_oracle_timer_order(monkeypatch):
     monkeypatch.setattr(_kernels, "greedy_cover", spy)
     rng = np.random.default_rng(29)
     for trial in range(40):
-        cfg = ProtocolConfig(timer_k=(1.0, 2.5)[trial % 2])
+        cfg = ScenarioConfig(camp_timer_k=(1.0, 2.5)[trial % 2])
         net = deploy(int(rng.integers(2, 60)), 100.0, 0.5, rng)
         if trial % 4 < 2:  # few energy levels and no alpha: timer ties
             levels, alpha = rng.choice([0.1, 0.25, 0.5], net.n), np.zeros(net.n)
@@ -495,13 +496,13 @@ def test_campteen_fires_in_oracle_timer_order(monkeypatch):
         campteen_elect_chs(net, cfg, alpha)
         alive = [i for i in range(net.n) if net.residual[i] > 0.0]
         timer = {i: campteen_timer(net.residual[i] / net.initial_energy[i],
-                                   cfg.timer_k, alpha[i]) for i in alive}
+                                   cfg.camp_timer_k, alpha[i]) for i in alive}
         assert orders.pop().tolist() == sorted(alive, key=lambda i: (timer[i], i))
 
 
 def test_campteen_heads_form_maximal_independent_set():
     rng = np.random.default_rng(17)
-    cfg = ProtocolConfig(comm_range_m=25.0)
+    cfg = ScenarioConfig(camp_comm_range_m=25.0)
     for trial in range(30):
         net = deploy(int(rng.integers(5, 40)), 100.0, 0.5, rng)
         ids, ch_of = campteen_elect_chs(net, cfg, rng.random(net.n))
@@ -522,13 +523,13 @@ def test_campteen_heads_form_maximal_independent_set():
 def test_campteen_matches_bruteforce_greedy():
     # replay the timer order by hand and compare the elected set
     rng = np.random.default_rng(23)
-    cfg = ProtocolConfig(comm_range_m=25.0)
+    cfg = ScenarioConfig(camp_comm_range_m=25.0)
     for trial in range(50):
         net = deploy(int(rng.integers(2, 21)), 100.0, 0.5, rng)
         alpha = rng.random(net.n)
         ids, ch_of = campteen_elect_chs(net, cfg, alpha)
 
-        timers = [cfg.timer_k / 1.0 - alpha[i] for i in range(net.n)]
+        timers = [cfg.camp_timer_k / 1.0 - alpha[i] for i in range(net.n)]
         order = sorted(range(net.n), key=lambda i: (timers[i], i))
         heads, owner = [], {}
         for i in order:
@@ -549,7 +550,7 @@ def test_campteen_rich_nodes_win_election():
     # drain one node heavily; with equal alphas the rich neighbour heads
     net = deploy(2, 10.0, 0.5, np.random.default_rng(2))
     net.residual[0] = 0.1
-    cfg = ProtocolConfig(comm_range_m=50.0)
+    cfg = ScenarioConfig(camp_comm_range_m=50.0)
     ids, ch_of = campteen_elect_chs(net, cfg, np.zeros(2))
     assert ids.tolist() == [1]
     assert ch_of.tolist() == [1, 1]

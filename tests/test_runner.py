@@ -175,6 +175,24 @@ def test_seed_isolation_between_runs():
         assert solo.history.row(i) == teen.history.row(i)
 
 
+def test_only_deec_deploys_energy_tiers():
+    # the deec_* tier fields shape DEEC's networks only; every other
+    # protocol deploys homogeneous nodes, whatever those fields say
+    cfg = ScenarioConfig(rounds=1, deec_advanced_fraction=0.3, deec_advanced_factor=1.5,
+                         deec_super_fraction=0.2, deec_super_factor=3.0)
+    results = run_matrix(cfg, sinks=["static_center", "mobile_top"], seeds=[1, 2])
+    assert len(results) == 20
+    for res in results:
+        factor = res.network.energy_factor
+        if res.summary.protocol == "deec":
+            assert factor[:20].tolist() == [3.0] * 20
+            assert factor[20:50].tolist() == [1.5] * 30
+            assert not factor[50:].any()
+        else:
+            assert not factor.any()
+            assert np.all(res.network.initial_energy == 0.5)
+
+
 # Small, short-lived networks: within the horizon every (protocol, sink)
 # has rounds in which one seed's network is extinct while another's still
 # lives, and every protocol but CAMP-TEEN has live rounds without a head.
