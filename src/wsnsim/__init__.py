@@ -27,6 +27,7 @@ from .protocols import (
     EpochTracker,
     ProtocolKind,
     campteen_elect_chs,
+    campteen_range_graphs,
     deec_average_energy,
     deec_elect_chs,
     deec_lifetime_estimate,
@@ -57,6 +58,7 @@ __all__ = [
     "ScenarioConfig",
     "SinkMode",
     "campteen_elect_chs",
+    "campteen_range_graphs",
     "current_backend",
     "deec_average_energy",
     "deec_elect_chs",

@@ -19,8 +19,10 @@ the same reason the charging phases report per-node outcomes, not
 totals: ``member_phase`` returns the packets each node received, and
 ``relay_phase`` returns, per sender, whether its packet reached the sink
 (receptions by heads are added to ``signals`` in place).  The engine
-tallies them per run.  ``nearest_site`` and ``greedy_cover`` see one run
-at a time.
+tallies them per run.  ``nearest_site`` and ``cover`` see one run at a
+time; ``cover`` reads the run's range graph (``range_graph``), which the
+engine builds once per run since nodes never move.  ``greedy_cover`` is
+``cover`` on a graph built for the one call.
 
 Backend selection: the compiled path is the default when numba imports;
 set ``WSNSIM_DISABLE_NUMBA=1`` to force the fallback, or call
@@ -168,10 +170,10 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
     return to_sink
 
 
-def _greedy_cover_loop(order, x, y, dead, range2):
+def _cover_loop(order, adj, dead):
     # Visit nodes by ascending timer; an uncovered node becomes a head and
-    # covers every still-uncovered neighbour within range.
-    n = x.shape[0]
+    # covers every still-uncovered neighbour in its row of the range graph.
+    n = adj.shape[0]
     ch_of = np.full(n, -1, np.int64)
     for t in range(order.shape[0]):
         i = order[t]
@@ -180,12 +182,9 @@ def _greedy_cover_loop(order, x, y, dead, range2):
         if ch_of[i] != -1:
             continue
         ch_of[i] = i
+        row = adj[i]
         for j in range(n):
-            if dead[j] or ch_of[j] != -1:
-                continue
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx * dx + dy * dy <= range2:
+            if row[j] and not dead[j] and ch_of[j] == -1:
                 ch_of[j] = i
     return ch_of
 
@@ -194,7 +193,7 @@ def _greedy_cover_loop(order, x, y, dead, range2):
 # vectorized fallbacks
 # ---------------------------------------------------------------------------
 
-# Most entries of a point-by-site distance block in `_nearest_site_np`:
+# Most entries of a distance block in `_nearest_site_np` and `range_graph`:
 # 64 KB per float64 temporary, well under malloc's 128 KB mmap threshold.
 _NEAREST_BLOCK = 8192
 
@@ -224,6 +223,36 @@ def _nearest_site_np(px, py, sx, sy):
     return idx, d2min
 
 
+def range_graph(x, y, range2):
+    """The N x N boolean range graph of one run: entry (i, j) is True when
+    `dx*dx + dy*dy <= range2`, with `dx = x[i] - x[j]` and
+    `dy = y[i] - y[j]`.  Node positions never change, so a run builds its
+    graph once.  Rows are taken in blocks, so no temporary holds N x N
+    floats.  Shared by both backends."""
+    n = x.shape[0]
+    adj = np.empty((n, n), np.bool_)
+    rows = max(1, _NEAREST_BLOCK // max(n, 1))
+    for a in range(0, n, rows):
+        dx = x[a:a + rows, None] - x[None, :]
+        dy = y[a:a + rows, None] - y[None, :]
+        np.less_equal(dx * dx + dy * dy, range2, out=adj[a:a + rows])
+    return adj
+
+
+def _greedy_cover_of(cover):
+    """`greedy_cover(order, x, y, dead, range2)`: the backend's `cover` on
+    the range graph of `x`, `y`, built for the one call.  The engine builds
+    each run's graph once and calls `cover`; this form serves callers that
+    hold positions, such as `warmup` and the benchmark's kernel timings."""
+    def greedy_cover(order, x, y, dead, range2):
+        return cover(order, range_graph(x, y, range2), dead)
+    return greedy_cover
+
+
+# the reference for both backends' `greedy_cover`: the uncompiled loop
+_greedy_cover_loop = _greedy_cover_of(_cover_loop)
+
+
 def _election_mask_np(u, p, rm, eligible, alive):
     denom = 1.0 - p * rm
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,26 +261,23 @@ def _election_mask_np(u, p, rm, eligible, alive):
     return eligible & alive & (u < t)
 
 
-def _greedy_cover_np(order, x, y, dead, range2):
+def _cover_np(order, adj, dead):
     # Same cover as the loop, one step per elected head instead of per node:
     # the next head is the first node of `order` still alive and uncovered,
-    # and its squared distances are the loop's expression, so the range
-    # test selects the same nodes bit for bit.  The head is taken even if
-    # its own d2 fails the test (range2 < 0), so every step shrinks `free`
-    # and the loop ends.  Memory stays O(N): no distance matrix is built.
-    ch_of = np.full(x.shape[0], -1, np.int64)
+    # and it takes the free nodes of its row of the range graph.  The head
+    # is taken even if its own entry is False (range2 < 0), so every step
+    # shrinks `free` and the loop ends.
+    ch_of = np.full(adj.shape[0], -1, np.int64)
     free = ~dead
     t = 0
     while t < order.shape[0]:
         rest = free[order[t:]]
-        k = int(np.argmax(rest))
+        k = rest.argmax()
         if not rest[k]:
             break
         t += k
         i = order[t]
-        dx = x[i] - x
-        dy = y[i] - y
-        take = free & (dx * dx + dy * dy <= range2)
+        take = free & adj[i]
         take[i] = True
         ch_of[take] = i
         free &= ~take
@@ -349,7 +375,8 @@ _PY_IMPL = {
     "election_mask": _election_mask_np,
     "member_phase": _member_phase_np,
     "relay_phase": _relay_phase_np,
-    "greedy_cover": _greedy_cover_np,
+    "cover": _cover_np,
+    "greedy_cover": _greedy_cover_of(_cover_np),
 }
 
 if HAVE_NUMBA:
@@ -358,8 +385,9 @@ if HAVE_NUMBA:
         "election_mask": njit(cache=True)(_election_mask_loop),
         "member_phase": njit(cache=True)(_member_phase_loop),
         "relay_phase": njit(cache=True)(_relay_phase_loop),
-        "greedy_cover": njit(cache=True)(_greedy_cover_loop),
+        "cover": njit(cache=True)(_cover_loop),
     }
+    _NB_IMPL["greedy_cover"] = _greedy_cover_of(_NB_IMPL["cover"])
 
 BACKENDS = {"python": _PY_IMPL}
 if HAVE_NUMBA:
@@ -369,13 +397,14 @@ nearest_site = None
 election_mask = None
 member_phase = None
 relay_phase = None
+cover = None
 greedy_cover = None
 ACTIVE_BACKEND = ""
 
 
 def use_backend(name: str) -> None:
     """Bind the module-level kernel entry points to one backend."""
-    global nearest_site, election_mask, member_phase, relay_phase, greedy_cover
+    global nearest_site, election_mask, member_phase, relay_phase, cover, greedy_cover
     global ACTIVE_BACKEND
     if name not in BACKENDS:
         raise ValueError(f"unknown kernel backend: {name!r}")
@@ -384,6 +413,7 @@ def use_backend(name: str) -> None:
     election_mask = impl["election_mask"]
     member_phase = impl["member_phase"]
     relay_phase = impl["relay_phase"]
+    cover = impl["cover"]
     greedy_cover = impl["greedy_cover"]
     ACTIVE_BACKEND = name
 

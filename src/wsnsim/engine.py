@@ -18,9 +18,10 @@ the reporting gate, both charging phases) runs once per round on the
 stacked arrays.  What stays per run: its generator, its sink (position
 and short-circuit radius, read per head by the tier walk), membership
 and tier routing (a node only joins or relays to a head of its own run),
-CAMP-TEEN's cover, DEEC's population terms, and the tallies, which the
-engine takes per run from the kernels' per-node outcomes.  A run of one
-is the batch of one.
+CAMP-TEEN's range graph (N x N booleans, built once at construction, as
+nodes never move) and the cover read from it each round, DEEC's
+population terms, and the tallies, which the engine takes per run from
+the kernels' per-node outcomes.  A run of one is the batch of one.
 
 Every run of a batch reads one validated `ScenarioConfig`: the engine
 derives the per-packet radio charges and the amplifier crossover from it
@@ -47,6 +48,7 @@ from .protocols import (
     EpochTracker,
     ProtocolKind,
     campteen_elect_chs,
+    campteen_range_graphs,
     deec_average_energy,
     deec_elect_chs,
     deec_lifetime_estimate,
@@ -119,6 +121,8 @@ class Engine:
             e_round = expected_round_energy(cfg, clusters, d_bs)
             self.lifetime_estimates = [deec_lifetime_estimate(run.e_total, e_round)
                                        for run in self.nets]
+        elif kind == ProtocolKind.CAMPTEEN:
+            self.graphs = campteen_range_graphs(net, cfg)
 
     # -- election ---------------------------------------------------------
 
@@ -142,7 +146,7 @@ class Engine:
                 net, base, self.cfg.hteen_layers, self.trackers, layer_p, rnd, u[1:],
             )
             return tiers, None
-        ch_ids, ch_of = campteen_elect_chs(net, self.cfg, u[0])
+        ch_ids, ch_of = campteen_elect_chs(net, self.cfg, u[0], self.graphs)
         return [ch_ids], ch_of
 
     # -- one round --------------------------------------------------------

@@ -125,27 +125,19 @@ def deec_probabilities(
     energy_factor: np.ndarray,
     avg_energy: float,
     p_opt: float,
-    multi_level: bool,
 ) -> np.ndarray:
     """Per-node election probability weighted by residual energy.
 
-    Two-level form splits normal/advanced nodes via the population's
-    advanced fraction; the multi-level form weights each node by its own
-    (1 + a_i) against the population total.  Clamped to [0, 1]; dead
+    Each node is weighed by its own (1 + a_i) against the population
+    total, n * (1 + a_i) / (n + sum a): DEEC's multi-level form, which
+    also covers a population with one advanced level.  Clamped to [0, 1]; dead
     nodes get 0.  Arrays of shape (R, N) hold R populations, one per row,
     each weighed against its own totals; `avg_energy` may then hold one
     value per row, shaped (R, 1).  `avg_energy` is positive and `p_opt` in
     (0, 1], as `deec_elect_chs` passes them.
     """
     n = residual.shape[-1]
-    if multi_level:
-        weight = n * (1.0 + energy_factor) / (n + energy_factor.sum(axis=-1, keepdims=True))
-    else:
-        adv = energy_factor > 0.0
-        count = np.count_nonzero(adv, axis=-1, keepdims=True)
-        first = np.take_along_axis(energy_factor, np.argmax(adv, axis=-1, keepdims=True), -1)
-        a = np.where(count > 0, first, 0.0)
-        weight = np.where(adv, 1.0 + a, 1.0) / (1.0 + a * (count / n))
+    weight = n * (1.0 + energy_factor) / (n + energy_factor.sum(axis=-1, keepdims=True))
     p = p_opt * weight * residual / avg_energy
     p[residual <= 0.0] = 0.0
     return np.clip(p, 0.0, 1.0)
@@ -182,8 +174,7 @@ def deec_elect_chs(
     """Energy-weighted threshold election; returns elected ids (ascending).
 
     `avg_energy` is the announced average, one for every run of `net` or
-    one per run.  Reads `cfg.p_opt`, and weighs by the multi-level form
-    when `cfg.deec_super_fraction` is positive.  When a run's average has
+    one per run.  Reads `cfg.p_opt`.  When a run's average has
     decayed to zero its probabilities saturate at 1 (their limiting value),
     so surviving nodes keep electing instead of stalling.
     """
@@ -194,8 +185,7 @@ def deec_elect_chs(
 
     def weighted(announced):
         return deec_probabilities(residual, net.energy_factor.reshape(net.runs, -1),
-                                  announced, cfg.p_opt,
-                                  multi_level=cfg.deec_super_fraction > 0.0)
+                                  announced, cfg.p_opt)
 
     if live.all():
         p = weighted(avg)
@@ -316,17 +306,28 @@ def nearest_in_run(net: NetworkState, points: np.ndarray, sites: np.ndarray):
 # CAMP-TEEN
 # ---------------------------------------------------------------------------
 
+def campteen_range_graphs(net: NetworkState, cfg: ScenarioConfig) -> list[np.ndarray]:
+    """Each run's range graph (`_kernels.range_graph`) at squared range
+    `camp_comm_range_m`, one N x N boolean array per run of `net`.  Nodes
+    never move, so a run's graph holds for all of its rounds."""
+    range2 = cfg.camp_comm_range_m * cfg.camp_comm_range_m
+    size = net.run_size
+    return [_kernels.range_graph(net.x[lo:lo + size], net.y[lo:lo + size], range2)
+            for lo in range(0, net.n, size)]
+
+
 def campteen_elect_chs(
-    net: NetworkState, cfg: ScenarioConfig, alpha: np.ndarray
+    net: NetworkState, cfg: ScenarioConfig, alpha: np.ndarray, graphs: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Timer-ordered greedy cover of the range graph.
 
     Each alive node's back-off timer is camp_timer_k / E - alpha, with E its
     residual over its initial energy, so richer nodes fire earlier.  Nodes
-    fire by ascending timer (ties by id); a node out of range
-    (`camp_comm_range_m`) of every elected head becomes one and captures
-    its uncovered neighbours.  Each run of `net` is ordered and covered on
-    its own.  Returns (head ids ascending, ch_of array with -1 for dead nodes).
+    fire by ascending timer (ties by id); a node out of range of every
+    elected head becomes one and captures its uncovered neighbours.  Each
+    run of `net` is ordered and covered on its own, on its range graph in
+    `graphs` (`campteen_range_graphs`).  Returns (head ids ascending, ch_of
+    array with -1 for dead nodes).
     """
     alive = net.residual > 0.0
     e_norm = np.where(alive, net.residual / net.initial_energy, 1.0)
@@ -336,13 +337,11 @@ def campteen_elect_chs(
     orders = np.argsort(timer, axis=1, kind="stable").astype(np.int64)
     finite = np.count_nonzero(np.isfinite(timer), axis=1).tolist()
     size = net.run_size
-    range2 = cfg.camp_comm_range_m * cfg.camp_comm_range_m
     ch_of = np.full(net.n, -1, np.int64)
     for r, k in enumerate(finite):
         if k:
             lo, hi = r * size, (r + 1) * size
-            cover = _kernels.greedy_cover(orders[r, :k], net.x[lo:hi], net.y[lo:hi],
-                                          ~alive[lo:hi], range2)
+            cover = _kernels.cover(orders[r, :k], graphs[r], ~alive[lo:hi])
             ch_of[lo:hi] = np.where(cover < 0, -1, cover + lo)
     ids = np.where(ch_of == np.arange(net.n))[0].astype(np.int64)
     return ids, ch_of

@@ -24,6 +24,7 @@ from wsnsim import (
     ScenarioConfig,
     SinkMode,
     campteen_elect_chs,
+    campteen_range_graphs,
     deploy,
     deec_probabilities,
     leach_elect_chs,
@@ -82,7 +83,7 @@ def test_criterion_01_probability_identity(report):
     t0 = time.perf_counter()
     worst = 0.0
     for n, p_opt, avg in ((100, 0.1, 0.5), (100, 0.05, 0.437), (500, 0.1, 0.01)):
-        probs = deec_probabilities(np.full(n, avg), np.zeros(n), avg, p_opt, False)
+        probs = deec_probabilities(np.full(n, avg), np.zeros(n), avg, p_opt)
         worst = max(worst, abs(probs.sum() - n * p_opt) / (n * p_opt))
     elapsed = time.perf_counter() - t0
     report(1, worst < 1e-12 and elapsed < 1.0,
@@ -160,7 +161,7 @@ def test_criterion_05_cover_election_oracle(report):
     for _ in range(50):
         net = deploy(int(rng.integers(2, 21)), 100.0, 0.5, rng)
         alpha = rng.random(net.n)
-        ids, ch_of = campteen_elect_chs(net, cfg, alpha)
+        ids, ch_of = campteen_elect_chs(net, cfg, alpha, campteen_range_graphs(net, cfg))
 
         order = sorted(range(net.n), key=lambda i: (cfg.camp_timer_k - alpha[i], i))
         heads, owner = [], {}

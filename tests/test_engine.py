@@ -190,7 +190,7 @@ def test_engine_elects_with_each_protocols_own_fields(monkeypatch):
                          camp_comm_range_m=20.0, sink_range_m=35.0)
     probs, ranges = [], []
     leach, promote = engine.leach_elect_chs, engine.hteen_promote_layers
-    cover = _kernels.greedy_cover
+    graph = _kernels.range_graph
 
     def leach_spy(net, p, *args):
         probs.append(p)
@@ -200,13 +200,13 @@ def test_engine_elects_with_each_protocols_own_fields(monkeypatch):
         probs.append(layer_p)
         return promote(net, base, layers, trackers, layer_p, *args)
 
-    def cover_spy(*args):
-        ranges.append(args[-1])
-        return cover(*args)
+    def graph_spy(x, y, range2):
+        ranges.append(range2)
+        return graph(x, y, range2)
 
     monkeypatch.setattr(engine, "leach_elect_chs", leach_spy)
     monkeypatch.setattr(engine, "hteen_promote_layers", promote_spy)
-    monkeypatch.setattr(_kernels, "greedy_cover", cover_spy)
+    monkeypatch.setattr(_kernels, "range_graph", graph_spy)
     want = {ProtocolKind.LEACH: ([0.2], []), ProtocolKind.TEEN: ([0.2], []),
             ProtocolKind.HTEEN: ([0.3, 0.3], []), ProtocolKind.CAMPTEEN: ([], [400.0])}
     for kind, (p, r2) in want.items():
@@ -215,6 +215,37 @@ def test_engine_elects_with_each_protocols_own_fields(monkeypatch):
         assert (probs, ranges) == (p, r2)
         probs.clear()
         ranges.clear()
+
+
+def test_campteen_builds_each_runs_range_graph_once(monkeypatch):
+    # the range graph is built per run when the engine is built, from that
+    # run's own positions, and every round's cover reads that run's graph
+    graph, cover, built, read = _kernels.range_graph, _kernels.cover, [], []
+
+    def graph_spy(x, y, range2):
+        adj = graph(x, y, range2)
+        built.append((x.copy(), adj))
+        return adj
+
+    def cover_spy(order, adj, dead):
+        read.append(adj)
+        return cover(order, adj, dead)
+
+    monkeypatch.setattr(_kernels, "range_graph", graph_spy)
+    monkeypatch.setattr(_kernels, "cover", cover_spy)
+    cfg = ScenarioConfig(nodes=30)
+    nets = [deploy(30, 100.0, 0.5, np.random.default_rng(s)) for s in range(3)]
+    xs = [net.x.copy() for net in nets]
+    eng = Engine(ProtocolKind.CAMPTEEN, cfg, nets,
+                 [SinkMode.STATIC_CENTER, SinkMode.MOBILE_TOP, SinkMode.STATIC_TOP])
+    assert [x.tolist() for x, _ in built] == [x.tolist() for x in xs]
+    graphs = [adj for _, adj in built]
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    for rnd in range(4):
+        eng.step(rnd, rngs)
+    assert len(built) == 3
+    assert len(read) == 12
+    assert all(adj is graphs[i % 3] for i, adj in enumerate(read))
 
 
 def test_engine_takes_radio_charges_from_config():

@@ -139,6 +139,51 @@ def test_greedy_cover_parity():
             assert np.array_equal(a, impl(order, x, y, dead, range2))
 
 
+def pairwise_d2(x, y):
+    """Squared distances by a plain loop, with the kernels' expression."""
+    n = x.shape[0]
+    d2 = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            dx = x[i] - x[j]
+            dy = y[i] - y[j]
+            d2[i, j] = dx * dx + dy * dy
+    return d2
+
+
+def test_range_graph_matches_pairwise_loop(monkeypatch):
+    # the cover instances (a grid with pairs exactly on range2 = 400, and
+    # range2 < 0), then sizes whose last row block is partial: 91 nodes in
+    # blocks of 90 rows, 300 in blocks of 27, and 20 in blocks of one row
+    rng = np.random.default_rng(44)
+    d2, last = None, None
+    for order, x, y, dead, range2 in cover_instances(rng):
+        if x is not last:
+            d2, last = pairwise_d2(x, y), x
+        adj = _kernels.range_graph(x, y, range2)
+        assert adj.dtype == np.bool_ and adj.shape == (x.size, x.size)
+        assert np.array_equal(adj, d2 <= range2)
+    for n, block in ((91, 8192), (300, 8192), (20, 7)):
+        monkeypatch.setattr(_kernels, "_NEAREST_BLOCK", block)
+        x = rng.integers(0, 15, n) * 20.0
+        y = rng.integers(0, 15, n) * 20.0
+        d2 = pairwise_d2(x, y)
+        for range2 in (-1.0, 0.0, 400.0, 800.0):
+            assert np.array_equal(_kernels.range_graph(x, y, range2), d2 <= range2)
+
+
+def test_cover_parity():
+    # every backend's cover on the range graph, against the uncompiled loop
+    rng = np.random.default_rng(45)
+    ref, *others = kernel_impls("cover")
+    for order, x, y, dead, range2 in cover_instances(rng):
+        adj = _kernels.range_graph(x, y, range2)
+        a = ref(order, adj, dead)
+        assert a.dtype == np.int64 and a.shape == x.shape
+        for impl in others:
+            assert np.array_equal(a, impl(order, adj, dead))
+
+
 # Per-packet radio constants: the engine's defaults for a 4000-bit packet,
 # then powers of two, under which a head's run of reception charges is
 # exact, so a residual that is a multiple of e_elec_b lands on 0.0 and a

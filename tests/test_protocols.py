@@ -19,6 +19,7 @@ from wsnsim import (
     ProtocolKind,
     ScenarioConfig,
     campteen_elect_chs,
+    campteen_range_graphs,
     deec_average_energy,
     deec_elect_chs,
     deec_lifetime_estimate,
@@ -192,15 +193,15 @@ def test_deec_lifetime_estimate_frozen():
 def test_deec_p_i_frozen_two_level():
     # 20 advanced nodes (a = 2) among 100, announced average 0.9, p_opt 0.1.
     # Frozen values re-derived with plain arithmetic in the function's order,
-    # p_opt * weight * residual / avg, where weight is 1 (normal) or 1 + a
-    # (advanced) over 1 + a * (advanced fraction):
-    # 0.1 * (1.0 / (1.0 + 2.0 * (20 / 100))) * 0.5 / 0.9 for a normal node,
-    # 0.1 * (3.0 / (1.0 + 2.0 * (20 / 100))) * 1.5 / 0.9 for an advanced one.
+    # p_opt * weight * residual / avg, where weight is n * (1 + a_i) over
+    # n + sum(a) = 100 + 40:
+    # 0.1 * (100 * 1.0 / 140.0) * 0.5 / 0.9 for a normal node,
+    # 0.1 * (100 * 3.0 / 140.0) * 1.5 / 0.9 for an advanced one.
     factors = np.array([2.0] * 20 + [0.0] * 80)
     resid = np.full(100, 0.5)
     resid[0] = 1.5
     resid[[97, 98]] = 0.0, 99.0
-    p = deec_probabilities(resid, factors, 0.9, 0.1, multi_level=False)
+    p = deec_probabilities(resid, factors, 0.9, 0.1)
     assert p[99] == 0.03968253968253969
     assert p[0] == 0.35714285714285715
     assert p[97] == 0.0   # dead
@@ -211,24 +212,24 @@ def test_deec_probabilities_homogeneous_identity():
     # equal residuals at the announced average: probabilities sum to N * p_opt
     for avg in (0.5, 0.437, 0.01):
         resid = np.full(100, avg)
-        for multi in (False, True):
-            p = deec_probabilities(resid, np.zeros(100), avg, 0.1, multi)
-            assert abs(p.sum() - 10.0) / 10.0 < 1e-12
+        p = deec_probabilities(resid, np.zeros(100), avg, 0.1)
+        assert abs(p.sum() - 10.0) / 10.0 < 1e-12
 
 
 def test_deec_probabilities_multi_level_frozen():
     factors = np.array([4.0] * 10 + [2.0] * 20 + [0.0] * 70)
     resid = 0.5 * (1.0 + factors)
-    p = deec_probabilities(resid, factors, 0.9, 0.1, multi_level=True)
+    p = deec_probabilities(resid, factors, 0.9, 0.1)
     assert p[0] == pytest.approx(0.7716049382716049, rel=1e-12)   # super
     assert p[10] == pytest.approx(0.2777777777777778, rel=1e-12)  # advanced
     assert p[99] == pytest.approx(0.030864197530864196, rel=1e-12)
 
 
 def test_deec_probabilities_two_level_frozen():
+    # one advanced level: 0.1 * (100 * (1 + a_i) / 140.0) * 0.5 * (1 + a_i) / 0.9
     factors = np.array([2.0] * 20 + [0.0] * 80)
     resid = 0.5 * (1.0 + factors)
-    p = deec_probabilities(resid, factors, 0.9, 0.1, multi_level=False)
+    p = deec_probabilities(resid, factors, 0.9, 0.1)
     assert p[0] == pytest.approx(0.35714285714285715, rel=1e-12)
     assert p[99] == pytest.approx(0.03968253968253969, rel=1e-12)
 
@@ -236,7 +237,7 @@ def test_deec_probabilities_two_level_frozen():
 def test_deec_probabilities_dead_nodes_zero():
     resid = np.full(10, 0.5)
     resid[3] = 0.0
-    p = deec_probabilities(resid, np.zeros(10), 0.5, 0.1, False)
+    p = deec_probabilities(resid, np.zeros(10), 0.5, 0.1)
     assert p[3] == 0.0
 
 
@@ -254,11 +255,10 @@ def test_deec_weighs_each_stacked_run_against_its_own_population():
     res = np.array([net.residual for net in nets])
     factors = np.array([net.energy_factor for net in nets])
     avg = np.array([0.21, 0.37, 0.05])
-    for multi in (True, False):
-        rows = deec_probabilities(res, factors, avg[:, None], 0.1, multi)
-        for r in range(3):
-            want = deec_probabilities(res[r], factors[r], avg[r], 0.1, multi)
-            assert rows[r].tobytes() == want.tobytes()
+    rows = deec_probabilities(res, factors, avg[:, None], 0.1)
+    for r in range(3):
+        want = deec_probabilities(res[r], factors[r], avg[r], 0.1)
+        assert rows[r].tobytes() == want.tobytes()
     for super_fraction, avg_now in itertools.product((0.3, 0.0), ([0.21, 0.37, 0.05],
                                                                  [0.21, 0.0, 0.05])):
         cfg = ScenarioConfig(p_opt=0.1, deec_super_fraction=super_fraction)
@@ -477,13 +477,13 @@ def test_campteen_timer_frozen():
 def test_campteen_fires_in_oracle_timer_order(monkeypatch):
     # the order handed to the cover is the alive nodes sorted by the
     # oracle's timer, ties by id; dead nodes never fire
-    real, orders = _kernels.greedy_cover, []
+    real, orders = _kernels.cover, []
 
     def spy(order, *args):
         orders.append(order.copy())
         return real(order, *args)
 
-    monkeypatch.setattr(_kernels, "greedy_cover", spy)
+    monkeypatch.setattr(_kernels, "cover", spy)
     rng = np.random.default_rng(29)
     for trial in range(40):
         cfg = ScenarioConfig(camp_timer_k=(1.0, 2.5)[trial % 2])
@@ -493,7 +493,7 @@ def test_campteen_fires_in_oracle_timer_order(monkeypatch):
         else:
             levels, alpha = rng.uniform(1e-6, 0.5, net.n), rng.random(net.n)
         net.residual[:] = np.where(rng.random(net.n) < 0.3, 0.0, levels)
-        campteen_elect_chs(net, cfg, alpha)
+        campteen_elect_chs(net, cfg, alpha, campteen_range_graphs(net, cfg))
         alive = [i for i in range(net.n) if net.residual[i] > 0.0]
         timer = {i: campteen_timer(net.residual[i] / net.initial_energy[i],
                                    cfg.camp_timer_k, alpha[i]) for i in alive}
@@ -505,7 +505,8 @@ def test_campteen_heads_form_maximal_independent_set():
     cfg = ScenarioConfig(camp_comm_range_m=25.0)
     for trial in range(30):
         net = deploy(int(rng.integers(5, 40)), 100.0, 0.5, rng)
-        ids, ch_of = campteen_elect_chs(net, cfg, rng.random(net.n))
+        graphs = campteen_range_graphs(net, cfg)
+        ids, ch_of = campteen_elect_chs(net, cfg, rng.random(net.n), graphs)
         # independence: no two heads within range
         for a in ids:
             for b in ids:
@@ -527,7 +528,7 @@ def test_campteen_matches_bruteforce_greedy():
     for trial in range(50):
         net = deploy(int(rng.integers(2, 21)), 100.0, 0.5, rng)
         alpha = rng.random(net.n)
-        ids, ch_of = campteen_elect_chs(net, cfg, alpha)
+        ids, ch_of = campteen_elect_chs(net, cfg, alpha, campteen_range_graphs(net, cfg))
 
         timers = [cfg.camp_timer_k / 1.0 - alpha[i] for i in range(net.n)]
         order = sorted(range(net.n), key=lambda i: (timers[i], i))
@@ -551,6 +552,6 @@ def test_campteen_rich_nodes_win_election():
     net = deploy(2, 10.0, 0.5, np.random.default_rng(2))
     net.residual[0] = 0.1
     cfg = ScenarioConfig(camp_comm_range_m=50.0)
-    ids, ch_of = campteen_elect_chs(net, cfg, np.zeros(2))
+    ids, ch_of = campteen_elect_chs(net, cfg, np.zeros(2), campteen_range_graphs(net, cfg))
     assert ids.tolist() == [1]
     assert ch_of.tolist() == [1, 1]
