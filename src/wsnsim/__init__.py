@@ -6,7 +6,6 @@ producing per-round population/throughput/energy traces.
 """
 from ._kernels import BACKENDS, current_backend, default_backend, use_backend, warmup
 from .config import ScenarioConfig, fingerprint, parse_config, parse_config_text
-from .energy import expected_round_energy
 from .engine import Engine
 from .metrics import (
     CSV_HEADER,
@@ -32,7 +31,7 @@ from .protocols import (
     deec_elect_chs,
     deec_lifetime_estimate,
     deec_probabilities,
-    epoch_length,
+    expected_round_energy,
     hteen_build_hierarchy,
     hteen_promote_layers,
     leach_elect_chs,
@@ -66,7 +65,6 @@ __all__ = [
     "deec_probabilities",
     "default_backend",
     "deploy",
-    "epoch_length",
     "expected_round_energy",
     "fingerprint",
     "hteen_build_hierarchy",

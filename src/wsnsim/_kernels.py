@@ -24,6 +24,16 @@ time; ``cover`` reads the run's range graph (``range_graph``), which the
 engine builds once per run since nodes never move.  ``greedy_cover`` is
 ``cover`` on a graph built for the one call.
 
+The charging phases pay the first-order radio model of LEACH (all costs
+in joules, distances in meters, payloads in bits).  Its constants are
+`ScenarioConfig` fields: electronics `e_elec_j` per bit for transmit and
+receive circuitry, free-space amplification `e_fs_j` per bit per m^2,
+multipath amplification `e_mp_j` per bit per m^4, aggregation `e_da_j`
+per bit per incoming signal, and `packet_bits` per packet.  Transmit
+cost switches from free-space (d^2) to multipath (d^4) amplification at
+the crossover distance d0 = sqrt(e_fs / e_mp); the engine derives the
+per-packet charges and d0^2 from the config and passes them in.
+
 Backend selection: the compiled path is the default when numba imports;
 set ``WSNSIM_DISABLE_NUMBA=1`` to force the fallback, or call
 ``use_backend("python"|"numba")`` at runtime.

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .config import ScenarioConfig, _coerce, parse_config
-from .metrics import write_csv
+from .metrics import LIFETIME_SURVIVED, write_csv
 from .runner import run_matrix, run_scenario
 
 
@@ -89,7 +89,7 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _summary_line(summary) -> str:
-    lifetime = "survived" if summary.lifetime is None else str(summary.lifetime)
+    lifetime = LIFETIME_SURVIVED if summary.lifetime is None else str(summary.lifetime)
     stability = "n/a" if summary.stability_period is None else str(summary.stability_period)
     return (
         f"{summary.protocol} {summary.sink} seed={summary.seed}"

@@ -4,10 +4,11 @@ Each round runs: sensing draws, head election (free of radio cost),
 cluster membership, then the charged data plane in a fixed order --
 member transmissions by node id, then head aggregation/forwarding from
 the bottom tier up.  Every election yields a list of head tiers; the
-flat protocols (LEACH, TEEN, DEEC, CAMP-TEEN) yield a single tier, so
-one tier walk forwards for all five.  Every joule leaves through the
-residual-energy arrays, so consumed energy always equals the drop in
-total residual.
+flat protocols (LEACH, TEEN, DEEC, CAMP-TEEN) yield a single tier, and
+H-TEEN one LEACH election per tier, each among the heads of the tier
+below, so one tier walk forwards for all five.  Every joule leaves
+through the residual-energy arrays, so consumed energy always equals the
+drop in total residual.
 
 One engine steps a batch of R runs of N nodes (one protocol; each run
 with its own sink and seed) as a single population of R*N nodes: run r
@@ -15,13 +16,16 @@ holds ids r*N .. r*N+N-1 (`network.stack`).  Runs never interact, and
 every run of a batch has the same election probability, epoch and tier
 count in each round, so the elementwise work (sensing, election masks,
 the reporting gate, both charging phases) runs once per round on the
-stacked arrays.  What stays per run: its generator, its sink (position
-and short-circuit radius, read per head by the tier walk), membership
-and tier routing (a node only joins or relays to a head of its own run),
-CAMP-TEEN's range graph (N x N booleans, built once at construction, as
-nodes never move) and the cover read from it each round, DEEC's
-population terms, and the tallies, which the engine takes per run from
-the kernels' per-node outcomes.  A run of one is the batch of one.
+stacked arrays.  Every run is deployed from the batch's config, so all
+start with the same total energy, and DEEC announces one average per
+round for the whole batch.  What stays per run: its generator, its sink
+(position and short-circuit radius, read per head by the tier walk),
+membership and tier routing (a node only joins or relays to a head of
+its own run), CAMP-TEEN's range graph (N x N booleans, built once at
+construction, as nodes never move) and the cover read from it each
+round, DEEC's population terms (each node weighed against its own run's
+tiers), and the tallies, which the engine takes per run from the
+kernels' per-node outcomes.  A run of one is the batch of one.
 
 Every run of a batch reads one validated `ScenarioConfig`: the engine
 derives the per-packet radio charges and the amplifier crossover from it
@@ -40,7 +44,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from .energy import expected_round_energy
 from .metrics import RoundMetrics
 from .network import NetworkState, sense_environment, stack
 from .protocols import (
@@ -63,17 +66,14 @@ from .sink import SinkMode, sink_position
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
-# Mean distance from a uniform point in a square field to its centre,
-# as a fraction of half the side length.
-MEAN_BS_DISTANCE_FACTOR = 0.765
-
 REACTIVE = (ProtocolKind.TEEN, ProtocolKind.HTEEN, ProtocolKind.CAMPTEEN)
 
 
 class Engine:
     """Protocol state machine for a batch of runs, each over its own
     deployed network and toward a sink of its own mode (`modes`, one per
-    network); all networks have `cfg`'s size and field."""
+    network); all networks are deployed from `cfg`, so they share its
+    size, field and energy tiers."""
 
     def __init__(self, kind: ProtocolKind, cfg: ScenarioConfig,
                  nets: list[NetworkState], modes: list[SinkMode]):
@@ -116,11 +116,7 @@ class Engine:
                              for _ in range(cfg.hteen_layers)]
         elif kind == ProtocolKind.DEEC:
             self.elig = DeecEligibility(net.n)
-            clusters = max(1, round(n * cfg.p_opt))
-            d_bs = MEAN_BS_DISTANCE_FACTOR * net.field_m / 2.0
-            e_round = expected_round_energy(cfg, clusters, d_bs)
-            self.lifetime_estimates = [deec_lifetime_estimate(run.e_total, e_round)
-                                       for run in self.nets]
+            self.lifetime_estimate = deec_lifetime_estimate(cfg, self.nets[0])
         elif kind == ProtocolKind.CAMPTEEN:
             self.graphs = campteen_range_graphs(net, cfg)
 
@@ -136,16 +132,13 @@ class Engine:
         if self.kind in (ProtocolKind.LEACH, ProtocolKind.TEEN):
             return [leach_elect_chs(net, self.cfg.p_opt, self.tracker, rnd, u[0])], None
         if self.kind == ProtocolKind.DEEC:
-            avg = [deec_average_energy(run.e_total, self.size, rnd, estimate)
-                   for run, estimate in zip(self.nets, self.lifetime_estimates)]
+            # every run starts with the same energy, so all announce one average
+            avg = deec_average_energy(self.nets[0].e_total, self.size, rnd,
+                                      self.lifetime_estimate)
             return [deec_elect_chs(net, self.cfg, self.elig, rnd, avg, u[0])], None
         if self.kind == ProtocolKind.HTEEN:
-            layer_p = self.cfg.hteen_layer_p
-            base = leach_elect_chs(net, layer_p, self.trackers[0], rnd, u[0])
-            tiers = hteen_promote_layers(
-                net, base, self.cfg.hteen_layers, self.trackers, layer_p, rnd, u[1:],
-            )
-            return tiers, None
+            return hteen_promote_layers(net, self.cfg.hteen_layers, self.trackers,
+                                        self.cfg.hteen_layer_p, rnd, u), None
         ch_ids, ch_of = campteen_elect_chs(net, self.cfg, u[0], self.graphs)
         return [ch_ids], ch_of
 
@@ -209,18 +202,15 @@ class Engine:
             self._e_elec_b, self._e_fs_b, self._e_mp_b, self._d0sq,
         )
 
-        # heads fold in their own reading (always for the proactive
-        # protocols, gated for the reactive family)
+        # heads fold in their own reading when gated (every alive head of
+        # a proactive protocol is)
+        own = gate[ch_ids]
+        signals[ch_ids] += own
+        own_count = np.bincount(head_run[own], minlength=runs)
         if self.kind in REACTIVE:
-            own = gate[ch_ids]
-            signals[ch_ids] += own
-            own_count = np.bincount(head_run[own], minlength=runs)
             sent = gate & (assign >= 0)
             sent[ch_ids[own]] = True
             net.last_tx[sent] = net.sensed[sent]
-        else:
-            signals[ch_ids] += 1
-            own_count = ch_count
 
         # forward aggregates tier by tier from the bottom up; with a mobile
         # sink any head within `sink_range_m` skips the hierarchy

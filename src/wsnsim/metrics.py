@@ -8,7 +8,7 @@ byte-identical files that also round-trip exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,18 +156,11 @@ def read_csv(path) -> RunHistory:
 
 
 def summary_record(summary: RunSummary, config_fingerprint: str) -> dict:
-    return {
-        "protocol": summary.protocol,
-        "sink": summary.sink,
-        "seed": summary.seed,
-        "rounds": summary.rounds,
-        "stability_period": summary.stability_period,
-        "lifetime": LIFETIME_SURVIVED if summary.lifetime is None else summary.lifetime,
-        "avg_alive": summary.avg_alive,
-        "total_throughput": summary.total_throughput,
-        "avg_throughput": summary.avg_throughput,
-        "config_fingerprint": config_fingerprint,
-    }
+    record = asdict(summary)
+    if summary.lifetime is None:
+        record["lifetime"] = LIFETIME_SURVIVED
+    record["config_fingerprint"] = config_fingerprint
+    return record
 
 
 def write_summary(summaries, path, config_fingerprint: str) -> None:

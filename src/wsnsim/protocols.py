@@ -3,10 +3,13 @@
 Each rule is written once, over the whole population, and is the code the
 engine runs: LEACH's threshold (`leach_elect_chs`), TEEN's reporting gate
 (`teen_gate_mask`), DEEC's energy-weighted probabilities and personal
-epochs, H-TEEN's layer promotion and tier walk, CAMP-TEEN's timer-based
-cover, and the nearest-head search behind both cluster membership and the
-tier walk (`nearest_in_run`).  The steady-state data plane that spends
-energy is in ``engine``.
+epochs, H-TEEN's tiers and tier walk, CAMP-TEEN's timer-based cover, and
+the nearest-head search behind both cluster membership and the tier walk
+(`nearest_in_run`).  H-TEEN elects each tier by LEACH's rule, among the
+heads of the tier below (`hteen_promote_layers`).  DEEC's announced
+average and the lifetime estimate it decays over (`deec_lifetime_estimate`,
+from the radio model's expected round energy) are derived here too.  The
+steady-state data plane that spends energy is in ``engine``.
 
 Every rule takes a `NetworkState` that may stack several runs (see
 `network.stack`).  Elementwise rules need nothing more; the rest keep to
@@ -44,21 +47,17 @@ class ProtocolKind(IntEnum):
         raise ValueError(f"unknown protocol: {name!r}")
 
 
-def epoch_length(p: float) -> int:
-    """Rounds per eligibility epoch for head fraction `p`."""
-    return math.ceil(1.0 / p)
-
-
 class EpochTracker:
     """Tracks which nodes may still become head in the current epoch.
 
-    Every node re-enters the eligible set when the round index is a
-    multiple of the epoch length; being elected removes a node until then.
+    An epoch lasts ceil(1/p) rounds (`epoch`).  Every node re-enters the
+    eligible set when the round index is a multiple of the epoch length;
+    being elected removes a node until then.
     """
 
     def __init__(self, n_nodes: int, p: float):
         self.p = p
-        self.epoch = epoch_length(p)
+        self.epoch = math.ceil(1.0 / p)
         self.eligible = np.ones(n_nodes, np.bool_)
 
     def start_round(self, rnd: int) -> None:
@@ -70,21 +69,23 @@ class EpochTracker:
 
 
 def leach_elect_chs(
-    net: NetworkState, p: float, tracker: EpochTracker, rnd: int, u: np.ndarray
+    net: NetworkState, p: float, tracker: EpochTracker, rnd: int, u: np.ndarray,
+    among: np.ndarray | None = None,
 ) -> np.ndarray:
     """One round of LEACH's threshold election; returns elected ids (ascending).
 
-    A node is elected when it is alive, has not served yet in this epoch
-    (`tracker`), and its draw `u` is below the threshold
-    T = p / (1 - p * (rnd mod epoch)), capped at 1 and taken as 1 once the
-    denominator is zero or below, so the epoch's last round elects every
-    remaining node.
+    A node is elected when it is alive, in the boolean mask `among` (default:
+    every node), has not served yet in this epoch (`tracker`), and its draw
+    `u` is below the threshold T = p / (1 - p * (rnd mod epoch)), capped at 1
+    and taken as 1 once the denominator is zero or below, so the epoch's
+    last round elects every remaining node.
     """
     tracker.start_round(rnd)
     rm = float(rnd % tracker.epoch)
     n = net.n
+    eligible = tracker.eligible if among is None else tracker.eligible & among
     elected = _kernels.election_mask(
-        u, np.full(n, p), np.full(n, rm), tracker.eligible, net.residual > 0.0
+        u, np.full(n, p), np.full(n, rm), eligible, net.residual > 0.0
     )
     ids = np.where(elected)[0].astype(np.int64)
     tracker.mark_elected(ids)
@@ -115,9 +116,36 @@ def deec_average_energy(e_total: float, nodes: int, rnd: int, lifetime_estimate:
     return val if val > 0.0 else 0.0
 
 
-def deec_lifetime_estimate(e_total: float, e_round: float) -> float:
-    """Rounds the network can sustain at `e_round` joules per round."""
-    return e_total / e_round
+# Mean distance from a uniform point in a square field to its centre,
+# as a fraction of half the side length.
+MEAN_BS_DISTANCE_FACTOR = 0.765
+
+
+def expected_round_energy(cfg: ScenarioConfig, clusters: int, d_to_bs: float) -> float:
+    """Expected network energy drained in one round with `clusters` heads,
+    under the first-order radio model (see `_kernels`).
+
+    Sums member electronics, aggregation, the heads' multipath hops to the
+    sink, and the members' free-space hops to their head, using the mean
+    member-to-head distance field_m / sqrt(2 * pi * clusters).
+    """
+    nodes, field_m = cfg.nodes, cfg.field_m
+    d_to_ch_sq = field_m * field_m / (2.0 * math.pi * clusters)
+    return cfg.packet_bits * (
+        2.0 * nodes * cfg.e_elec_j
+        + nodes * cfg.e_da_j
+        + clusters * cfg.e_mp_j * d_to_bs ** 4
+        + nodes * cfg.e_fs_j * d_to_ch_sq
+    )
+
+
+def deec_lifetime_estimate(cfg: ScenarioConfig, net: NetworkState) -> float:
+    """Rounds that `net`, one run deployed from `cfg`, can sustain at the
+    expected round energy of round(nodes * p_opt) heads (at least one), with
+    the sink MEAN_BS_DISTANCE_FACTOR * field_m / 2 from them."""
+    clusters = max(1, round(cfg.nodes * cfg.p_opt))
+    d_bs = MEAN_BS_DISTANCE_FACTOR * cfg.field_m / 2.0
+    return net.e_total / expected_round_energy(cfg, clusters, d_bs)
 
 
 def deec_probabilities(
@@ -132,9 +160,8 @@ def deec_probabilities(
     total, n * (1 + a_i) / (n + sum a): DEEC's multi-level form, which
     also covers a population with one advanced level.  Clamped to [0, 1]; dead
     nodes get 0.  Arrays of shape (R, N) hold R populations, one per row,
-    each weighed against its own totals; `avg_energy` may then hold one
-    value per row, shaped (R, 1).  `avg_energy` is positive and `p_opt` in
-    (0, 1], as `deec_elect_chs` passes them.
+    each weighed against its own totals.  `avg_energy` is positive and
+    `p_opt` in (0, 1], as `deec_elect_chs` passes them.
     """
     n = residual.shape[-1]
     weight = n * (1.0 + energy_factor) / (n + energy_factor.sum(axis=-1, keepdims=True))
@@ -173,27 +200,20 @@ def deec_elect_chs(
 ) -> np.ndarray:
     """Energy-weighted threshold election; returns elected ids (ascending).
 
-    `avg_energy` is the announced average, one for every run of `net` or
-    one per run.  Reads `cfg.p_opt`.  When a run's average has
-    decayed to zero its probabilities saturate at 1 (their limiting value),
-    so surviving nodes keep electing instead of stalling.
+    `avg_energy` is the announced average, one for every run of `net` (the
+    runs of a batch are deployed from one config).  Each run is weighed
+    against its own population (`deec_probabilities`).  Reads `cfg.p_opt`.
+    Once the average has decayed to zero the probabilities saturate at 1
+    (their limiting value), so surviving nodes keep electing instead of
+    stalling.
     """
     alive = net.residual > 0.0
-    residual = net.residual.reshape(net.runs, -1)
-    avg = np.asarray(avg_energy, np.float64).reshape(-1, 1)
-    live = avg > 0.0
-
-    def weighted(announced):
-        return deec_probabilities(residual, net.energy_factor.reshape(net.runs, -1),
-                                  announced, cfg.p_opt)
-
-    if live.all():
-        p = weighted(avg)
+    if avg_energy > 0.0:
+        p = deec_probabilities(net.residual.reshape(net.runs, -1),
+                               net.energy_factor.reshape(net.runs, -1),
+                               avg_energy, cfg.p_opt).reshape(-1)
     else:
-        p = np.where(residual > 0.0, 1.0, 0.0)
-        if live.any():
-            p = np.where(live, weighted(np.where(live, avg, 1.0)), p)
-    p = p.reshape(-1)
+        p = np.where(alive, 1.0, 0.0)
     ep = elig.start_round(rnd, p)
     rm = np.where(p > 0.0, rnd % ep, 0.0)
     elected = _kernels.election_mask(u, p, rm, elig.eligible, alive)
@@ -208,36 +228,24 @@ def deec_elect_chs(
 
 def hteen_promote_layers(
     net: NetworkState,
-    base_ch_ids: np.ndarray,
     layers: int,
     trackers: list[EpochTracker],
     layer_p: float,
     rnd: int,
     draws: np.ndarray,
 ) -> list[np.ndarray]:
-    """Build the nested head tiers: tier l+1 heads are elected among tier l.
+    """Elect the nested head tiers, each by LEACH's rule (`leach_elect_chs`)
+    at `layer_p`: tier 0 among every node, tier l+1 among the heads of tier
+    l, with tier l's epoch tracker `trackers[l]` and draws `draws[l]`.
 
-    `draws` holds one uniform array per promotion stage.  Returns one id
-    array per tier (ascending, each a subset of the previous).
+    Returns one id array per tier (ascending, each a subset of the previous).
     """
-    tiers = [np.asarray(base_ch_ids, np.int64)]
+    tiers = [leach_elect_chs(net, layer_p, trackers[0], rnd, draws[0])]
     for level in range(1, layers):
-        tracker = trackers[level]
-        tracker.start_round(rnd)
-        prev = tiers[-1]
-        candidate = np.zeros(net.n, np.bool_)
-        candidate[prev] = True
-        rm = float(rnd % tracker.epoch)
-        elected = _kernels.election_mask(
-            draws[level - 1],
-            np.full(net.n, layer_p),
-            np.full(net.n, rm),
-            tracker.eligible & candidate,
-            net.residual > 0.0,
-        )
-        ids = np.where(elected)[0].astype(np.int64)
-        tracker.mark_elected(ids)
-        tiers.append(ids)
+        heads = np.zeros(net.n, np.bool_)
+        heads[tiers[-1]] = True
+        tiers.append(leach_elect_chs(net, layer_p, trackers[level], rnd, draws[level],
+                                     among=heads))
     return tiers
 
 
@@ -269,8 +277,8 @@ def hteen_build_hierarchy(
         targets = np.full(senders.size, -1, np.int64)
         if up.size:
             relay = tx_d2 > direct_r2[run]
-            if net.runs > 1:  # a run whose next tier is empty sends to the sink
-                relay &= np.bincount(up // size, minlength=net.runs)[run] > 0
+            # a run whose next tier is empty sends to the sink
+            relay &= np.bincount(up // size, minlength=net.runs)[run] > 0
             via = senders[relay]
             idx, d2up = nearest_in_run(net, via, up)
             targets[relay] = up[idx]

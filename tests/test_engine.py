@@ -11,7 +11,7 @@ from wsnsim import (
     deploy,
     run_scenario,
 )
-from wsnsim import engine, runner
+from wsnsim import engine, protocols, runner
 
 
 def run_short(protocol, sink="static_center", rounds=300, seed=2, **cfg_kw):
@@ -189,26 +189,25 @@ def test_engine_elects_with_each_protocols_own_fields(monkeypatch):
     cfg = ScenarioConfig(nodes=30, p_opt=0.2, hteen_layer_p=0.3,
                          camp_comm_range_m=20.0, sink_range_m=35.0)
     probs, ranges = [], []
-    leach, promote = engine.leach_elect_chs, engine.hteen_promote_layers
+    leach = protocols.leach_elect_chs
     graph = _kernels.range_graph
 
-    def leach_spy(net, p, *args):
+    def leach_spy(net, p, *args, **kwargs):
         probs.append(p)
-        return leach(net, p, *args)
-
-    def promote_spy(net, base, layers, trackers, layer_p, *args):
-        probs.append(layer_p)
-        return promote(net, base, layers, trackers, layer_p, *args)
+        return leach(net, p, *args, **kwargs)
 
     def graph_spy(x, y, range2):
         ranges.append(range2)
         return graph(x, y, range2)
 
+    # the engine calls LEACH's rule for LEACH and TEEN, and H-TEEN's tiers
+    # call it once per tier
     monkeypatch.setattr(engine, "leach_elect_chs", leach_spy)
-    monkeypatch.setattr(engine, "hteen_promote_layers", promote_spy)
+    monkeypatch.setattr(protocols, "leach_elect_chs", leach_spy)
     monkeypatch.setattr(_kernels, "range_graph", graph_spy)
     want = {ProtocolKind.LEACH: ([0.2], []), ProtocolKind.TEEN: ([0.2], []),
-            ProtocolKind.HTEEN: ([0.3, 0.3], []), ProtocolKind.CAMPTEEN: ([], [400.0])}
+            ProtocolKind.HTEEN: ([0.3, 0.3, 0.3], []),
+            ProtocolKind.CAMPTEEN: ([], [400.0])}
     for kind, (p, r2) in want.items():
         net = deploy(30, 100.0, 0.5, np.random.default_rng(5))
         Engine(kind, cfg, [net], [SinkMode.MOBILE_TOP]).step(0, [np.random.default_rng(0)])

@@ -75,7 +75,7 @@ def exhaustive_nearest(net, i, heads):
     return heads[k], d2[k]
 
 
-def test_assign_clusters_matches_exhaustive_scan():
+def test_nearest_in_run_matches_exhaustive_scan():
     # the engine's membership call: every non-head joins the nearest head
     # (the first one on ties), at that head's squared distance
     rng = np.random.default_rng(21)

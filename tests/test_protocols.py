@@ -25,7 +25,6 @@ from wsnsim import (
     deec_lifetime_estimate,
     deec_probabilities,
     deploy,
-    epoch_length,
     hteen_build_hierarchy,
     hteen_promote_layers,
     leach_elect_chs,
@@ -58,9 +57,9 @@ def test_protocol_parse_rejects_unknown():
 
 
 def test_epoch_length():
-    assert epoch_length(0.1) == 10
-    assert epoch_length(0.3) == 4  # ceil(10/3)
-    assert epoch_length(1.0) == 1
+    assert EpochTracker(1, 0.1).epoch == 10
+    assert EpochTracker(1, 0.3).epoch == 4  # ceil(10/3)
+    assert EpochTracker(1, 1.0).epoch == 1
 
 
 # --- LEACH ----------------------------------------------------------------
@@ -186,8 +185,11 @@ def test_deec_average_energy_declines_linearly_then_floors():
 
 
 def test_deec_lifetime_estimate_frozen():
-    # heterogeneous 90 J network over the expected 10-cluster round cost
-    assert deec_lifetime_estimate(90.0, 0.04274792847007071) == 2105.365177239222
+    # heterogeneous 90 J network (70*0.5 + 20*1.5 + 10*2.5) over the expected
+    # round cost of 10 clusters with the sink 0.765 * 50 m away, 0.04274792847007071
+    net = deploy(100, 100.0, 0.5, np.random.default_rng(0), advanced_fraction=0.2,
+                 advanced_factor=2.0, super_fraction=0.1, super_factor=4.0)
+    assert deec_lifetime_estimate(ScenarioConfig(), net) == 2105.365177239222
 
 
 def test_deec_p_i_frozen_two_level():
@@ -242,10 +244,10 @@ def test_deec_probabilities_dead_nodes_zero():
 
 
 def test_deec_weighs_each_stacked_run_against_its_own_population():
-    # Stacked runs with different tier mixes and announced averages (one of
-    # them decayed to zero): each row of the probabilities, and each run's
-    # heads, equal the run's own, bit for bit.  A total over the whole
-    # stack would weigh every run against the others' nodes.
+    # Stacked runs with different tier mixes and one announced average (once
+    # positive, once decayed to zero): each row of the probabilities, and
+    # each run's heads, equal the run's own, bit for bit.  A total over the
+    # whole stack would weigh every run against the others' nodes.
     rng = np.random.default_rng(12)
     mixes = ((0.2, 0.3), (0.5, 0.1), (0.1, 0.6))
     nets = [deploy(40, 100.0, 0.5, rng, advanced_fraction=a, advanced_factor=0.3,
@@ -254,20 +256,18 @@ def test_deec_weighs_each_stacked_run_against_its_own_population():
         net.residual *= rng.uniform(0.0, 1.0, net.n)
     res = np.array([net.residual for net in nets])
     factors = np.array([net.energy_factor for net in nets])
-    avg = np.array([0.21, 0.37, 0.05])
-    rows = deec_probabilities(res, factors, avg[:, None], 0.1)
+    rows = deec_probabilities(res, factors, 0.21, 0.1)
     for r in range(3):
-        want = deec_probabilities(res[r], factors[r], avg[r], 0.1)
+        want = deec_probabilities(res[r], factors[r], 0.21, 0.1)
         assert rows[r].tobytes() == want.tobytes()
-    for super_fraction, avg_now in itertools.product((0.3, 0.0), ([0.21, 0.37, 0.05],
-                                                                 [0.21, 0.0, 0.05])):
+    for super_fraction, avg in itertools.product((0.3, 0.0), (0.21, 0.0)):
         cfg = ScenarioConfig(p_opt=0.1, deec_super_fraction=super_fraction)
         u = rng.random(120)
-        solo = [deec_elect_chs(copy.deepcopy(net), cfg, DeecEligibility(40), 7, a,
+        solo = [deec_elect_chs(copy.deepcopy(net), cfg, DeecEligibility(40), 7, avg,
                                u[40 * r:40 * (r + 1)]) + 40 * r
-                for r, (net, a) in enumerate(zip(nets, avg_now))]
+                for r, net in enumerate(nets)]
         stacked = stack([copy.deepcopy(net) for net in nets])
-        ids = deec_elect_chs(stacked, cfg, DeecEligibility(120), 7, avg_now, u)
+        ids = deec_elect_chs(stacked, cfg, DeecEligibility(120), 7, avg, u)
         assert np.array_equal(ids, np.concatenate(solo))
         assert len(solo[1]) > 0 and len(ids) > len(solo[1])
 
@@ -320,13 +320,40 @@ def test_hteen_tiers_are_nested_subsets():
     net = small_net(seed=12)
     trackers = [EpochTracker(net.n, 0.1) for _ in range(3)]
     rng = np.random.default_rng(3)
-    base = leach_elect_chs(net, 0.1, trackers[0], 0, rng.random(net.n))
-    draws = np.stack([rng.random(net.n) for _ in range(2)])
-    tiers = hteen_promote_layers(net, base, 3, trackers, 0.5, 0, draws)
+    draws = np.stack([rng.random(net.n) for _ in range(3)])
+    tiers = hteen_promote_layers(net, 3, trackers, 0.5, 0, draws)
     assert len(tiers) == 3
+    assert len(tiers[-1]) > 0
     for lower, upper in zip(tiers, tiers[1:]):
         assert set(upper.tolist()) <= set(lower.tolist())
         assert np.all(np.diff(upper) > 0) if len(upper) > 1 else True
+
+
+def test_hteen_tier_is_leach_election_among_the_tier_below():
+    # each tier is LEACH's election at the layer probability restricted to
+    # the heads of the tier below, from the same draws and tracker state;
+    # over several rounds, so served heads and epoch resets count too
+    net = small_net(seed=13)
+    dead = np.random.default_rng(6).choice(net.n, 10, replace=False)
+    net.residual[dead] = 0.0
+    trackers = [EpochTracker(net.n, 0.4) for _ in range(3)]
+    rng = np.random.default_rng(7)
+    top = 0
+    for rnd in range(7):
+        draws = rng.random((3, net.n))
+        before = [copy.deepcopy(t) for t in trackers]
+        tiers = hteen_promote_layers(net, 3, trackers, 0.4, rnd, draws)
+        below = np.ones(net.n, np.bool_)
+        for level, tier in enumerate(tiers):
+            want = leach_elect_chs(net, 0.4, before[level], rnd, draws[level],
+                                   among=below)
+            assert tier.tobytes() == want.tobytes()
+            assert before[level].eligible.tobytes() == trackers[level].eligible.tobytes()
+            below = np.zeros(net.n, np.bool_)
+            below[tier] = True
+        assert not set(tiers[0].tolist()) & set(dead.tolist())
+        top += len(tiers[-1])
+    assert top > 0
 
 
 def per_run(*values):

@@ -13,7 +13,15 @@ import numpy as np
 import pytest
 
 import wsnsim
-from wsnsim import ScenarioConfig, read_csv, read_summary, run_matrix, run_scenario
+from wsnsim import (
+    ProtocolKind,
+    ScenarioConfig,
+    SinkMode,
+    read_csv,
+    read_summary,
+    run_matrix,
+    run_scenario,
+)
 from wsnsim import runner
 from wsnsim.runner import artifact_name
 
@@ -191,6 +199,19 @@ def test_only_deec_deploys_energy_tiers():
         else:
             assert not factor.any()
             assert np.all(res.network.initial_energy == 0.5)
+
+
+def test_deec_batch_runs_share_one_total_energy():
+    # every run of a batch is deployed from one config, so every run's total
+    # energy, and with it DEEC's lifetime estimate and announced average, is
+    # the same number, whatever its sink and seed
+    cfg = ScenarioConfig(rounds=2, deec_advanced_fraction=0.3, deec_advanced_factor=0.3,
+                         deec_super_fraction=0.17, deec_super_factor=1.7)
+    runs = [(mode, seed) for mode in SinkMode for seed in (1, 2, 7)]
+    results = runner._run_batch(cfg, ProtocolKind.DEEC, runs)
+    totals = {res.network.e_total for res in results}
+    assert len(results) == 9 and len(totals) == 1
+    assert totals != {cfg.nodes * cfg.initial_energy_j}
 
 
 # Small, short-lived networks: within the horizon every (protocol, sink)

@@ -56,7 +56,7 @@ def test_period_of_full_sweep():
                 == sink_position(CFG, SinkMode.MOBILE_TOP, rnd + period))
 
 
-def test_sink_state_validation():
+def test_sink_position_rejects_negative_round():
     # field_m, sink_step_m and sink_pause_rounds are checked where
     # ScenarioConfig is built; the round is checked here
     with pytest.raises(ValueError):
