@@ -9,7 +9,6 @@ from .config import ScenarioConfig, fingerprint, parse_config, parse_config_text
 from .engine import Engine
 from .metrics import (
     CSV_HEADER,
-    RoundMetrics,
     RunHistory,
     RunSummary,
     read_csv,
@@ -50,7 +49,6 @@ __all__ = [
     "EpochTracker",
     "NetworkState",
     "ProtocolKind",
-    "RoundMetrics",
     "RunHistory",
     "RunResult",
     "RunSummary",

@@ -24,8 +24,9 @@ membership and tier routing (a node only joins or relays to a head of
 its own run), CAMP-TEEN's range graph (N x N booleans, built once at
 construction, as nodes never move) and the cover read from it each
 round, DEEC's population terms (each node weighed against its own run's
-tiers), and the tallies, which the engine takes per run from the
-kernels' per-node outcomes.  A run of one is the batch of one.
+tiers), and its row of the batch's round record (`metrics.ROUND_RECORD`,
+one row per run and one column per round), which each round fills from
+the kernels' per-node outcomes.  A run of one is the batch of one.
 
 Every run of a batch reads one validated `ScenarioConfig`: the engine
 derives the per-packet radio charges and the amplifier crossover from it
@@ -44,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from .metrics import RoundMetrics
+from .metrics import ROUND_RECORD
 from .network import NetworkState, sense_environment, stack
 from .protocols import (
     DeecEligibility,
@@ -95,7 +96,9 @@ class Engine:
         self.net = net = stack(self.nets)
         self.runs = runs = net.runs
         self.size = n = net.run_size
-        self._cum_bs = np.zeros(runs, np.int64)
+        # the batch's round record: step(rnd) writes column rnd, and a
+        # column left at zero is the round of an extinct batch
+        self.record = np.zeros((runs, cfg.rounds), ROUND_RECORD)
         # each run's sink: a static one stays where round 0 puts it, a
         # mobile one moves each round and short-circuits heads within
         # `sink_range_m`
@@ -144,16 +147,15 @@ class Engine:
 
     # -- one round --------------------------------------------------------
 
-    def step(self, rnd: int, rngs: list[np.random.Generator]) -> list[RoundMetrics]:
+    def step(self, rnd: int, rngs: list[np.random.Generator]) -> None:
         """One round of every run; `rngs` holds each run's generator.
-        Returns each run's RoundMetrics, in run order."""
+        Writes column `rnd` of the round record, one item per run."""
         net, runs, n = self.net, self.runs, self.size
         per_run = net.residual.reshape(runs, n)
         alive0 = net.residual > 0.0
         live = alive0.reshape(runs, n).any(axis=1)
         if not live.any():
-            return [RoundMetrics(rnd, 0, n, 0, 0, 0, cum, 0.0)
-                    for cum in self._cum_bs.tolist()]
+            return
 
         before = per_run.sum(axis=1)
         draws = self._draws
@@ -225,17 +227,11 @@ class Engine:
                 self._e_elec_b, self._e_fs_b, self._e_mp_b, self._e_da_b, self._d0sq,
             )
             reached.append(senders[to_sink])
-        to_bs = np.bincount(np.concatenate(reached) // n, minlength=runs)
 
+        col = self.record[:, rnd]
+        col["alive"] = (per_run > 0.0).sum(axis=1)
+        col["ch_count"] = ch_count
         # every packet a head holds, but its own reading, reached it this round
-        to_ch = signals.reshape(runs, n).sum(axis=1) - own_count
-        consumed = before - per_run.sum(axis=1)
-        alive_end = (per_run > 0.0).sum(axis=1)
-        self._cum_bs += to_bs
-        return [
-            RoundMetrics(round=rnd, alive=a, dead=n - a, ch_count=c, packets_to_ch=tc,
-                         packets_to_bs=tb, cum_packets_to_bs=cum, energy_consumed_j=e)
-            for a, c, tc, tb, cum, e in zip(
-                alive_end.tolist(), ch_count.tolist(), to_ch.tolist(), to_bs.tolist(),
-                self._cum_bs.tolist(), consumed.tolist())
-        ]
+        col["packets_to_ch"] = signals.reshape(runs, n).sum(axis=1) - own_count
+        col["packets_to_bs"] = np.bincount(np.concatenate(reached) // n, minlength=runs)
+        col["energy_consumed_j"] = before - per_run.sum(axis=1)

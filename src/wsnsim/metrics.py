@@ -1,4 +1,14 @@
-"""Round-by-round tallies, run summaries, and report files.
+"""Per-round histories, run summaries, and report files.
+
+An engine fills its batch's round record (`ROUND_RECORD`, one row per
+run, one item per round) with five measured columns: `alive` (nodes alive
+at the end of the round), `ch_count` (heads elected), `packets_to_ch`
+(packets that reached a head, its own reading aside), `packets_to_bs`
+(packets that reached the sink) and `energy_consumed_j` (the drop in the
+run's total residual).  `RunHistory.from_record` turns a run's row into
+lists and derives the other three columns: the round index, `dead` (nodes
+minus `alive`), and `cum_packets_to_bs`, the running sum of `packets_to_bs`.
+Only a trace read back from a file (`read_csv`) is checked, round by round.
 
 The CSV schema is fixed (`round,alive,dead,ch_count,packets_to_ch,
 packets_to_bs,cum_packets_to_bs,energy_consumed_j`) and energy values are
@@ -8,25 +18,17 @@ byte-identical files that also round-trip exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 CSV_HEADER = "round,alive,dead,ch_count,packets_to_ch,packets_to_bs,cum_packets_to_bs,energy_consumed_j"
 LIFETIME_SURVIVED = "survived"
-
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    round: int
-    alive: int
-    dead: int
-    ch_count: int
-    packets_to_ch: int
-    packets_to_bs: int
-    cum_packets_to_bs: int
-    energy_consumed_j: float
+ROUND_RECORD = np.dtype([("alive", np.int64), ("ch_count", np.int64),
+                         ("packets_to_ch", np.int64), ("packets_to_bs", np.int64),
+                         ("energy_consumed_j", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -42,49 +44,55 @@ class RunSummary:
     avg_throughput: float          # mean of the cumulative sink-delivery curve
 
 
+@dataclass
 class RunHistory:
-    """Append-only per-round record with consecutive round indices."""
+    """One run's per-round columns, one item per round; histories compare
+    with `==`, column by column."""
 
-    def __init__(self):
-        self.rounds: list[int] = []
-        self.alive: list[int] = []
-        self.dead: list[int] = []
-        self.ch_count: list[int] = []
-        self.packets_to_ch: list[int] = []
-        self.packets_to_bs: list[int] = []
-        self.cum_packets_to_bs: list[int] = []
-        self.energy_consumed_j: list[float] = []
+    rounds: list[int] = field(default_factory=list)
+    alive: list[int] = field(default_factory=list)
+    dead: list[int] = field(default_factory=list)
+    ch_count: list[int] = field(default_factory=list)
+    packets_to_ch: list[int] = field(default_factory=list)
+    packets_to_bs: list[int] = field(default_factory=list)
+    cum_packets_to_bs: list[int] = field(default_factory=list)
+    energy_consumed_j: list[float] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.rounds)
 
-    def record_round(self, m: RoundMetrics) -> None:
-        if m.round != len(self.rounds):
-            raise ValueError(
-                f"round {m.round} out of sequence (expected {len(self.rounds)})"
-            )
-        if min(m.alive, m.dead, m.ch_count, m.packets_to_ch, m.packets_to_bs) < 0:
-            raise ValueError("negative count in round metrics")
-        if m.energy_consumed_j < 0.0:
-            raise ValueError("energy_consumed_j must be >= 0")
-        prev = self.cum_packets_to_bs[-1] if self.cum_packets_to_bs else 0
-        if m.cum_packets_to_bs != prev + m.packets_to_bs:
-            raise ValueError("cumulative packet count does not extend the history")
-        self.rounds.append(m.round)
-        self.alive.append(m.alive)
-        self.dead.append(m.dead)
-        self.ch_count.append(m.ch_count)
-        self.packets_to_ch.append(m.packets_to_ch)
-        self.packets_to_bs.append(m.packets_to_bs)
-        self.cum_packets_to_bs.append(m.cum_packets_to_bs)
-        self.energy_consumed_j.append(m.energy_consumed_j)
-
-    def row(self, i: int) -> RoundMetrics:
-        return RoundMetrics(
-            self.rounds[i], self.alive[i], self.dead[i], self.ch_count[i],
-            self.packets_to_ch[i], self.packets_to_bs[i],
-            self.cum_packets_to_bs[i], self.energy_consumed_j[i],
+    @classmethod
+    def from_record(cls, row: np.ndarray, n_nodes: int) -> RunHistory:
+        """One run's history from its row of an engine's round record."""
+        return cls(
+            rounds=list(range(len(row))),
+            alive=row["alive"].tolist(),
+            dead=(n_nodes - row["alive"]).tolist(),
+            ch_count=row["ch_count"].tolist(),
+            packets_to_ch=row["packets_to_ch"].tolist(),
+            packets_to_bs=row["packets_to_bs"].tolist(),
+            cum_packets_to_bs=np.cumsum(row["packets_to_bs"]).tolist(),
+            energy_consumed_j=row["energy_consumed_j"].tolist(),
         )
+
+    def record_round(self, rnd: int, alive: int, dead: int, ch_count: int,
+                     packets_to_ch: int, packets_to_bs: int, cum_packets_to_bs: int,
+                     energy_consumed_j: float) -> None:
+        """Append one round read from outside (`read_csv`), checked first."""
+        if rnd != len(self.rounds):
+            raise ValueError(f"round {rnd} out of sequence (expected {len(self.rounds)})")
+        if min(alive, dead, ch_count, packets_to_ch, packets_to_bs) < 0:
+            raise ValueError(f"round {rnd}: negative count")
+        if not (math.isfinite(energy_consumed_j) and energy_consumed_j >= 0.0):
+            raise ValueError(f"round {rnd}: energy_consumed_j must be finite and >= 0, "
+                             f"got {energy_consumed_j!r}")
+        prev = self.cum_packets_to_bs[-1] if self.cum_packets_to_bs else 0
+        if cum_packets_to_bs != prev + packets_to_bs:
+            raise ValueError(f"round {rnd}: cumulative packet count does not extend the history")
+        values = (rnd, alive, dead, ch_count, packets_to_ch, packets_to_bs,
+                  cum_packets_to_bs, energy_consumed_j)
+        for column, value in zip(vars(self).values(), values):  # in field order
+            column.append(value)
 
 
 def stability_period(history: RunHistory) -> int | None:
@@ -124,16 +132,8 @@ def summarize(history: RunHistory, protocol: str, sink: str, seed: int) -> RunSu
 def write_csv(history: RunHistory, path) -> None:
     """Write one line per round; LF endings; energy with full precision."""
     lines = [CSV_HEADER]
-    for i in range(len(history)):
-        lines.append(
-            "%d,%d,%d,%d,%d,%d,%d,%.17g"
-            % (
-                history.rounds[i], history.alive[i], history.dead[i],
-                history.ch_count[i], history.packets_to_ch[i],
-                history.packets_to_bs[i], history.cum_packets_to_bs[i],
-                history.energy_consumed_j[i],
-            )
-        )
+    for row in zip(*vars(history).values()):  # columns in field order
+        lines.append("%d,%d,%d,%d,%d,%d,%d,%.17g" % row)
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -148,10 +148,7 @@ def read_csv(path) -> RunHistory:
         parts = line.split(",")
         if len(parts) != 8:
             raise ValueError(f"malformed CSV row: {line!r}")
-        hist.record_round(RoundMetrics(
-            int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]),
-            int(parts[4]), int(parts[5]), int(parts[6]), float(parts[7]),
-        ))
+        hist.record_round(*map(int, parts[:7]), float(parts[7]))
     return hist
 
 

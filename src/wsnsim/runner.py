@@ -74,10 +74,9 @@ def _run_batch(cfg: ScenarioConfig, kind: ProtocolKind,
     nets = [deploy(cfg.nodes, cfg.field_m, cfg.initial_energy_j, rng, **tiers)
             for rng in rngs]
     eng = Engine(kind, cfg, nets, [mode for mode, _ in runs])
-    hists = [RunHistory() for _ in runs]
     for rnd in range(cfg.rounds):
-        for hist, metrics in zip(hists, eng.step(rnd, rngs)):
-            hist.record_round(metrics)
+        eng.step(rnd, rngs)
+    hists = [RunHistory.from_record(row, cfg.nodes) for row in eng.record]
     protocol = kind.name.lower()
     return [RunResult(kind, mode, seed, hist,
                       summarize(hist, protocol, mode.name.lower(), seed), net)

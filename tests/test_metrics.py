@@ -4,7 +4,6 @@ import pytest
 
 from wsnsim import (
     CSV_HEADER,
-    RoundMetrics,
     RunHistory,
     lifetime_round,
     read_csv,
@@ -22,30 +21,30 @@ def toy_history(rows):
     cum = 0
     for r, (alive, ch, to_ch, to_bs, energy) in enumerate(rows):
         cum += to_bs
-        hist.record_round(RoundMetrics(r, alive, 100 - alive, ch, to_ch, to_bs, cum, energy))
+        hist.record_round(r, alive, 100 - alive, ch, to_ch, to_bs, cum, energy)
     return hist
 
 
 def test_record_round_enforces_sequence():
     hist = RunHistory()
-    hist.record_round(RoundMetrics(0, 100, 0, 5, 90, 5, 5, 0.01))
+    hist.record_round(0, 100, 0, 5, 90, 5, 5, 0.01)
     with pytest.raises(ValueError, match="out of sequence"):
-        hist.record_round(RoundMetrics(3, 100, 0, 5, 90, 5, 10, 0.01))
+        hist.record_round(3, 100, 0, 5, 90, 5, 10, 0.01)
 
 
 def test_record_round_enforces_cumulative_consistency():
     hist = RunHistory()
-    hist.record_round(RoundMetrics(0, 100, 0, 5, 90, 5, 5, 0.01))
+    hist.record_round(0, 100, 0, 5, 90, 5, 5, 0.01)
     with pytest.raises(ValueError, match="cumulative"):
-        hist.record_round(RoundMetrics(1, 100, 0, 5, 90, 5, 99, 0.01))
+        hist.record_round(1, 100, 0, 5, 90, 5, 99, 0.01)
 
 
 def test_record_round_rejects_negative_counts():
     hist = RunHistory()
     with pytest.raises(ValueError):
-        hist.record_round(RoundMetrics(0, 100, 0, -1, 0, 0, 0, 0.0))
+        hist.record_round(0, 100, 0, -1, 0, 0, 0, 0.0)
     with pytest.raises(ValueError):
-        hist.record_round(RoundMetrics(0, 100, 0, 0, 0, 0, 0, -0.5))
+        hist.record_round(0, 100, 0, 0, 0, 0, 0, -0.5)
 
 
 def test_stability_and_lifetime():
@@ -98,9 +97,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     ])
     p = tmp_path / "trace.csv"
     write_csv(hist, p)
-    back = read_csv(p)
-    for i in range(len(hist)):
-        assert back.row(i) == hist.row(i)  # bitwise float equality via ==
+    assert read_csv(p) == hist  # bitwise float equality via ==
 
 
 def test_csv_format_details(tmp_path):
@@ -132,6 +129,17 @@ def test_csv_identical_histories_identical_bytes(tmp_path):
     write_csv(toy_history(rows), a)
     write_csv(toy_history(rows), b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_read_csv_rejects_non_finite_energy(tmp_path, bad):
+    # a trace is outside input: a non-finite energy is refused by its
+    # column's name, not summarized
+    p = tmp_path / "trace.csv"
+    p.write_text(f"{CSV_HEADER}\n0,100,0,5,90,5,5,0.1\n1,100,0,5,90,5,10,{bad}\n"
+                 "2,100,0,5,90,5,15,0.1\n")
+    with pytest.raises(ValueError, match="energy_consumed_j"):
+        read_csv(p)
 
 
 def test_read_csv_rejects_foreign_header(tmp_path):

@@ -21,12 +21,14 @@ from wsnsim import (
     read_summary,
     run_matrix,
     run_scenario,
+    write_csv,
 )
 from wsnsim import runner
 from wsnsim.runner import artifact_name
 
 
 CFG = ScenarioConfig(rounds=30)
+PROTOCOLS = ["leach", "teen", "deec", "hteen", "campteen"]
 SINKS = ["static_center", "static_top", "mobile_top"]
 
 
@@ -173,14 +175,36 @@ def test_serial_sweep_imports_no_pool(cpus, seeds):
     assert out.strip() == "[]"
 
 
+def test_history_columns_are_plain_lists(monkeypatch, pools, tmp_path):
+    # every column is a list of Python ints (floats for energy), from a run
+    # of one, a serial sweep and a pooled one: a reader may join columns
+    # with `+` and print them with repr; and a trace read back from its
+    # file equals the history it was written from
+    solo = [run_scenario(CFG, p, "mobile_top", 3) for p in PROTOCOLS]
+    pin_cpus(monkeypatch, 1)
+    serial = run_matrix(CFG, sinks=["static_top"], seeds=[1, 2])
+    pin_cpus(monkeypatch, 2)
+    pooled = run_matrix(CFG, sinks=["static_top"], seeds=[1, 2])
+    assert pools == ([2] if hasattr(os, "fork") else [])
+    for res in solo + serial + pooled:
+        for name, column in vars(res.history).items():
+            kind = float if name == "energy_consumed_j" else int
+            assert type(column) is list, name
+            assert len(column) == CFG.rounds, name
+            assert all(type(v) is kind for v in column), (res.summary, name)
+    for res in solo:
+        path = tmp_path / f"{res.summary.protocol}.csv"
+        write_csv(res.history, path)
+        assert read_csv(path) == res.history
+
+
 def test_seed_isolation_between_runs():
     # consecutive matrix entries must not borrow draws from one another:
     # a run's trace equals the same combination simulated alone
     solo = run_scenario(CFG, "teen", "static_center", 5)
     swept = run_matrix(CFG, ["leach", "teen"], ["static_center"], [5])
     teen = [r for r in swept if r.summary.protocol == "teen"][0]
-    for i in range(30):
-        assert solo.history.row(i) == teen.history.row(i)
+    assert solo.history == teen.history
 
 
 def test_only_deec_deploys_energy_tiers():
@@ -256,8 +280,7 @@ def test_batched_matrix_matches_solo_runs(monkeypatch, backend, cfg, protocol):
     assert len(swept) == len(solo)
     for res in swept:
         want = solo[(res.summary.sink, res.seed)]
-        for i in range(cfg.rounds):
-            assert res.history.row(i) == want.history.row(i), (res.summary, i)
+        assert res.history == want.history, res.summary
         assert res.network.residual.tobytes() == want.network.residual.tobytes()
         assert res.network.e_total == want.network.e_total
     for sink in SINKS:
