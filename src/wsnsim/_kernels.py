@@ -19,10 +19,14 @@ the same reason the charging phases report per-node outcomes, not
 totals: ``member_phase`` returns the packets each node received, and
 ``relay_phase`` returns, per sender, whether its packet reached the sink
 (receptions by heads are added to ``signals`` in place).  The engine
-tallies them per run.  ``nearest_site`` and ``cover`` see one run at a
-time; ``cover`` reads the run's range graph (``range_graph``), which the
-engine builds once per run since nodes never move.  ``greedy_cover`` is
-``cover`` on a graph built for the one call.
+tallies them per run.  ``nearest_site`` serves a whole batch in one
+call: each run's sites fill one column of a (k_max, runs) table padded
+with +inf, and each point carries its run index, so a point searches only
+its own run's sites; called without run indices it searches one run's
+1-D sites.  ``cover`` sees one run at a time: it reads the run's range
+graph (``range_graph``), which the engine builds once per run since nodes
+never move.  ``greedy_cover`` is ``cover`` on a graph built for the one
+call.
 
 The charging phases pay the first-order radio model of LEACH (all costs
 in joules, distances in meters, payloads in bits).  Its constants are
@@ -65,17 +69,20 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # vectorized fallbacks below)
 # ---------------------------------------------------------------------------
 
-def _nearest_site_loop(px, py, sx, sy):
+def _nearest_site_loop(px, py, sx, sy, run):
+    # Point i searches column run[i] of the (k_max, runs) site tables; +inf
+    # padding never wins, and a point with no finite site gets (-1, inf).
     n = px.shape[0]
     k = sx.shape[0]
     idx = np.empty(n, np.int64)
     d2min = np.empty(n, np.float64)
     for i in range(n):
+        r = run[i]
         best = np.inf
         bidx = -1
         for t in range(k):
-            dx = px[i] - sx[t]
-            dy = py[i] - sy[t]
+            dx = px[i] - sx[t, r]
+            dy = py[i] - sy[t, r]
             d2 = dx * dx + dy * dy
             if d2 < best:
                 best = d2
@@ -203,34 +210,82 @@ def _cover_loop(order, adj, dead):
 # vectorized fallbacks
 # ---------------------------------------------------------------------------
 
-# Most entries of a distance block in `_nearest_site_np` and `range_graph`:
-# 64 KB per float64 temporary, well under malloc's 128 KB mmap threshold.
+# Most entries of a distance block in `range_graph`: 64 KB per float64
+# temporary, well under malloc's 128 KB mmap threshold.
 _NEAREST_BLOCK = 8192
 
+# Most entries of each of `_nearest_site_np`'s two scratch tables (512 KB
+# of float64).  The tables are kept and reused across calls, so no call
+# faults fresh memory in; larger problems are taken in blocks of rows.
+# Two threads must not run the fallback at once: the simulator runs
+# batches in processes, never in threads.
+_NEAREST_CAP = 1 << 16
+_nearest_scratch = (np.empty(0), np.empty(0))
 
-def _nearest_rows(px, py, sx, sy):
-    dx = px[:, None] - sx[None, :]
-    dy = py[:, None] - sy[None, :]
-    d2 = dx * dx + dy * dy
-    idx = np.argmin(d2, axis=1).astype(np.int64)
-    return idx, d2[np.arange(px.shape[0]), idx]
+
+def _nearest_tables(size):
+    # Two float64 tables of `size` entries: views of the kept scratch up to
+    # `_NEAREST_CAP`, fresh arrays beyond it (a single row wider than the
+    # cap, i.e. more sites than that in one run).
+    global _nearest_scratch
+    if size > _NEAREST_CAP:
+        return np.empty(size), np.empty(size)
+    if _nearest_scratch[0].shape[0] < size:
+        _nearest_scratch = (np.empty(size), np.empty(size))
+    return _nearest_scratch[0][:size], _nearest_scratch[1][:size]
 
 
-def _nearest_site_np(px, py, sx, sy):
-    # Points are taken in blocks of rows, so no temporary holds the whole
-    # N x k table: at 1000 nodes and 100 heads each of the five would be
-    # 800 KB, and every call page-faulted ~3 MB of fresh memory in.  Each
-    # row's argmin is the same in a block, so the result is bit-identical.
+def _nearest_site_np(px, py, sx, sy, run):
+    # The loop's distance table, one block of rows at a time, computed in
+    # place in the scratch tables: each row starts as its point's column of
+    # sites, from which the point is subtracted (`px - sx`, like the loop),
+    # then squared and summed.  A row's first minimum is the loop's strict
+    # `<`.  Only the returned arrays are fresh; no view of the scratch
+    # outlives the call.
     n = px.shape[0]
-    rows = max(1, _NEAREST_BLOCK // max(sx.shape[0], 1))
-    if n <= rows:
-        return _nearest_rows(px, py, sx, sy)
+    k = sx.shape[0]
     idx = np.empty(n, np.int64)
     d2min = np.empty(n, np.float64)
+    if k == 0:
+        idx.fill(-1)
+        d2min.fill(np.inf)
+        return idx, d2min
+    # one row of sites per run, gathered per point below
+    sxr, syr = np.ascontiguousarray(sx.T), np.ascontiguousarray(sy.T)
+    rows = max(1, _NEAREST_CAP // k)
     for a in range(0, n, rows):
-        b = a + rows
-        idx[a:b], d2min[a:b] = _nearest_rows(px[a:b], py[a:b], sx, sy)
+        b = min(a + rows, n)
+        t1, t2 = _nearest_tables((b - a) * k)
+        dx = t1.reshape(b - a, k)
+        dy = t2.reshape(b - a, k)
+        np.take(sxr, run[a:b], axis=0, out=dx, mode="clip")
+        np.subtract(px[a:b, None], dx, out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.take(syr, run[a:b], axis=0, out=dy, mode="clip")
+        np.subtract(py[a:b, None], dy, out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.argmin(dx, axis=1, out=idx[a:b])
+        np.take(t1, idx[a:b] + np.arange(0, (b - a) * k, k), out=d2min[a:b])
+    # a point with only padding in its column: the loop keeps (-1, inf)
+    if n and d2min.max() == np.inf:
+        idx[d2min == np.inf] = -1
     return idx, d2min
+
+
+def _nearest_site_of(kernel):
+    """`nearest_site(px, py, sx, sy, run=None)`: for each point
+    (`px[i]`, `py[i]`), the index of its nearest site in column `run[i]`
+    of the (k_max, runs) site tables `sx`, `sy` (columns padded with +inf),
+    and the squared distance to it.  Ties go to the lowest index; a point
+    whose column holds no site gets (-1, inf).  Without `run`, `sx` and
+    `sy` are one run's 1-D sites and every point searches them."""
+    def nearest_site(px, py, sx, sy, run=None):
+        if run is None:
+            return kernel(px, py, sx.reshape(-1, 1), sy.reshape(-1, 1),
+                          np.zeros(px.shape[0], np.int64))
+        return kernel(px, py, sx, sy, run)
+    return nearest_site
 
 
 def range_graph(x, y, range2):
@@ -381,7 +436,7 @@ def _relay_phase_np(order, signals, residual, tx_d2, target,
 
 
 _PY_IMPL = {
-    "nearest_site": _nearest_site_np,
+    "nearest_site": _nearest_site_of(_nearest_site_np),
     "election_mask": _election_mask_np,
     "member_phase": _member_phase_np,
     "relay_phase": _relay_phase_np,
@@ -391,7 +446,7 @@ _PY_IMPL = {
 
 if HAVE_NUMBA:
     _NB_IMPL = {
-        "nearest_site": njit(cache=True)(_nearest_site_loop),
+        "nearest_site": _nearest_site_of(njit(cache=True)(_nearest_site_loop)),
         "election_mask": njit(cache=True)(_election_mask_loop),
         "member_phase": njit(cache=True)(_member_phase_loop),
         "relay_phase": njit(cache=True)(_relay_phase_loop),
@@ -445,6 +500,7 @@ def warmup() -> None:
     flags = np.ones(2, np.bool_)
     for impl in BACKENDS.values():
         impl["nearest_site"](one, one, one, one)
+        impl["nearest_site"](one, one, np.ones((2, 2)), np.ones((2, 2)), idx)
         impl["election_mask"](one * 0.5, one * 0.1, one, flags, flags)
         impl["member_phase"](flags, idx, one, one.copy(), 1e-6, 1e-9, 1e-12, 100.0)
         impl["relay_phase"](idx, np.ones(2, np.int64), one.copy(), one, idx - 1,

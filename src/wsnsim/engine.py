@@ -105,7 +105,7 @@ class Engine:
         at_start = [sink_position(cfg, mode, 0) for mode in modes]
         self._sink_x = np.array([x for x, _ in at_start])
         self._sink_y = np.array([y for _, y in at_start])
-        self._mobile = [r for r, mode in enumerate(modes) if mode == SinkMode.MOBILE_TOP]
+        self._mobile = np.flatnonzero([mode == SinkMode.MOBILE_TOP for mode in modes])
         r2 = cfg.sink_range_m * cfg.sink_range_m
         self._direct_r2 = np.array([r2 if mode == SinkMode.MOBILE_TOP else -np.inf
                                     for mode in modes])
@@ -217,8 +217,9 @@ class Engine:
         # forward aggregates tier by tier from the bottom up; with a mobile
         # sink any head within `sink_range_m` skips the hierarchy
         sx, sy = self._sink_x, self._sink_y
-        for r in self._mobile:
-            sx[r], sy[r] = sink_position(self.cfg, SinkMode.MOBILE_TOP, rnd)
+        if self._mobile.size:
+            # every mobile sink of the batch is at the same place
+            sx[self._mobile], sy[self._mobile] = sink_position(self.cfg, SinkMode.MOBILE_TOP, rnd)
         reached = []  # the heads whose packets reached the sink
         for senders, target, tx_d2 in hteen_build_hierarchy(net, tiers, sx, sy,
                                                              self._direct_r2):

@@ -289,24 +289,36 @@ def hteen_build_hierarchy(
 
 def nearest_in_run(net: NetworkState, points: np.ndarray, sites: np.ndarray):
     """`_kernels.nearest_site` for node ids `points` among node ids `sites`,
-    each point searching only the sites of its own run.
+    each point searching only the sites of its own run, in one kernel call
+    for the whole batch.
 
-    Both id arrays are ascending, and every run with a point has a site.
-    Returns (index into `sites`, squared distance) per point.
+    Both id arrays are ascending.  Run r's sites fill column r of two
+    (k_max, runs) coordinate tables in id order, padded with +inf, so the
+    kernel's first-index tie rule is the first site in id order; a batch
+    of one run passes its sites as they are.  Returns (index into `sites`,
+    squared distance) per point; raises ValueError if a run with a point
+    has no site.
     """
     x, y = net.x, net.y
     if net.runs == 1:
-        return _kernels.nearest_site(x[points], y[points], x[sites], y[sites])
-    bounds = np.arange(net.runs + 1) * net.run_size
-    pcut = np.searchsorted(points, bounds).tolist()
-    scut = np.searchsorted(sites, bounds).tolist()
-    px, py, sx, sy = x[points], y[points], x[sites], y[sites]
-    idx = np.empty(points.size, np.int64)
-    d2 = np.empty(points.size)
-    for a, b, s0, s1 in zip(pcut, pcut[1:], scut, scut[1:]):
-        if a < b:
-            i, d2[a:b] = _kernels.nearest_site(px[a:b], py[a:b], sx[s0:s1], sy[s0:s1])
-            idx[a:b] = i + s0
+        idx, d2 = _kernels.nearest_site(x[points], y[points], x[sites], y[sites])
+    else:
+        site_run = sites // net.run_size
+        count = np.bincount(site_run, minlength=net.runs)
+        first = np.cumsum(count) - count
+        shape = (max(int(count.max()), 1), net.runs)
+        slot = (np.arange(sites.size) - first[site_run], site_run)
+        sx = np.full(shape, np.inf)
+        sy = np.full(shape, np.inf)
+        sx[slot] = x[sites]
+        sy[slot] = y[sites]
+        run = points // net.run_size
+        idx, d2 = _kernels.nearest_site(x[points], y[points], sx, sy, run)
+        idx += first[run]
+    # the kernel leaves d2 at +inf only for a point whose run has no site
+    if d2.size and d2.max() == np.inf:
+        bad = points[np.argmax(d2 == np.inf)] // net.run_size
+        raise ValueError(f"nearest_in_run: run {bad} has points but no site")
     return idx, d2
 
 

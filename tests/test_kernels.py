@@ -52,31 +52,128 @@ def kernel_impls(name):
     return impls
 
 
+def nearest_impls():
+    """`nearest_site` over the uncompiled loop (the reference), the numpy
+    fallback and, if installed, numba's compiled kernel; each takes both
+    the one-run form and the batched form."""
+    return [_kernels._nearest_site_of(_kernels._nearest_site_loop)] + [
+        impl["nearest_site"] for impl in _kernels.BACKENDS.values()]
+
+
+def assert_same_nearest(impls, *args):
+    """Every implementation gives the reference's bits; returns them."""
+    (ia, da), *others = [impl(*args) for impl in impls]
+    for ib, db in [(ia, da)] + others:
+        assert ib.dtype == np.int64 and db.dtype == np.float64
+        assert ib.shape == db.shape == args[0].shape
+        assert np.array_equal(ia, ib)
+        assert np.array_equal(da, db)  # bitwise, no tolerance
+    return ia, da
+
+
 def nearest_instances(rng):
     """Random tables, no points at all (a round in which no member
     reports), then tables larger than one row block of the numpy fallback
-    on an integer grid, so that equal distances (the first site wins) fall
-    at block edges."""
+    (in blocks of 8192 entries) on an integer grid, so that equal
+    distances (the first site wins) fall at block edges."""
     for _ in range(20):
         n, k = int(rng.integers(1, 200)), int(rng.integers(1, 20))
         yield (rng.uniform(0, 100, n), rng.uniform(0, 100, n),
                rng.uniform(0, 100, k), rng.uniform(0, 100, k))
     yield np.empty(0), np.empty(0), rng.uniform(0, 100, 5), rng.uniform(0, 100, 5)
-    block = _kernels._NEAREST_BLOCK
+    block = 8192
     for n, k in ((1000, 100), (1000, 9), (5, block + 3), (3 * block // 64 + 1, 64)):
         yield tuple(rng.integers(0, 30, m).astype(np.float64) for m in (n, n, k, k))
 
 
-def test_nearest_site_parity():
+def test_nearest_site_parity(monkeypatch):
+    monkeypatch.setattr(_kernels, "_NEAREST_CAP", 8192)
     rng = np.random.default_rng(40)
-    impls = kernel_impls("nearest_site")
+    impls = nearest_impls()
     for px, py, sx, sy in nearest_instances(rng):
-        (ia, da), *others = [impl(px, py, sx, sy) for impl in impls]
-        for ib, db in [(ia, da)] + others:
-            assert ib.dtype == np.int64 and db.dtype == np.float64
-            assert ib.shape == db.shape == px.shape
-            assert np.array_equal(ia, ib)
-            assert np.array_equal(da, db)  # bitwise, no tolerance
+        assert_same_nearest(impls, px, py, sx, sy)
+
+
+def site_tables(rng, counts, n, grid, without=()):
+    """Batched inputs: run r holds `counts[r]` sites in column r of two
+    (max(counts), runs) tables padded with +inf, and `n` points fall in
+    random order on the runs that have a site, except runs `without`.
+    With `grid`, coordinates are integers 0..11, so equal distances are
+    common.  Returns (px, py, sx, sy, run)."""
+    def draw(m):
+        return rng.integers(0, 12, m).astype(np.float64) if grid else rng.uniform(0, 100, m)
+
+    shape = (max(counts), len(counts))
+    sx, sy = np.full(shape, np.inf), np.full(shape, np.inf)
+    for r, c in enumerate(counts):
+        sx[:c, r], sy[:c, r] = draw(c), draw(c)
+    hosts = [r for r, c in enumerate(counts) if c and r not in without]
+    run = rng.choice(hosts, n).astype(np.int64)
+    return draw(n), draw(n), sx, sy, run
+
+
+def batched_instances(rng):
+    """Uneven runs: 1 site next to 30, a run with sites but no points, no
+    points at all; then integer grids with uneven counts, where equal
+    distances fall at each run's padding edge and at block edges."""
+    yield site_tables(rng, [1, 30, 4], 50, False, without=(2,))
+    yield site_tables(rng, [30, 1], 0, False)
+    yield site_tables(rng, [1, 30, 7, 30], 200, True, without=(3,))
+    for _ in range(12):
+        runs = int(rng.integers(1, 7))
+        counts = rng.integers(0, 40, runs).tolist()
+        counts[int(rng.integers(runs))] = int(rng.integers(1, 40))
+        yield site_tables(rng, counts, int(rng.integers(0, 400)), bool(rng.integers(2)))
+    # one table wider than the smallest block: 130 sites in one column
+    yield site_tables(rng, [130, 3, 64], 300, True)
+
+
+@pytest.mark.parametrize("cap", [1 << 16, 1000, 64])
+def test_nearest_site_batched_parity(monkeypatch, cap):
+    # the batched form on every backend equals the loop, and each run's
+    # points get what the one-run form gives them on that run's sites
+    # alone: the padding never wins and never moves a tie.  Blocks of
+    # 1000 entries put block edges inside the larger tables; a cap of 64
+    # is narrower than a 130-site row, which then gets its own table.
+    monkeypatch.setattr(_kernels, "_NEAREST_CAP", cap)
+    rng = np.random.default_rng(46)
+    impls = nearest_impls()
+    for px, py, sx, sy, run in batched_instances(rng):
+        idx, d2 = assert_same_nearest(impls, px, py, sx, sy, run)
+        for r in range(sx.shape[1]):
+            own = run == r
+            k = np.count_nonzero(np.isfinite(sx[:, r]))
+            ir, dr = assert_same_nearest(impls, px[own], py[own], sx[:k, r], sy[:k, r])
+            assert np.array_equal(idx[own], ir) and np.array_equal(d2[own], dr)
+            assert (idx[own] < k).all()
+
+
+def test_nearest_site_point_without_site():
+    # a point whose column holds only padding, or no site at all, gets
+    # (-1, inf) on every backend, like the loop
+    impls = nearest_impls()
+    px = np.array([1.0, 2.0, 3.0])
+    sx = np.array([[5.0, np.inf], [7.0, np.inf]])
+    idx, d2 = assert_same_nearest(impls, px, px, sx, sx, np.array([0, 1, 0]))
+    assert idx.tolist() == [0, -1, 0] and d2[1] == np.inf
+    idx, d2 = assert_same_nearest(impls, px, px, np.empty(0), np.empty(0))
+    assert idx.tolist() == [-1] * 3 and np.isinf(d2).all()
+
+
+def test_nearest_site_results_outlive_the_scratch():
+    # the numpy fallback computes in tables it keeps across calls; what a
+    # call returns must not be a view of them
+    rng = np.random.default_rng(47)
+    nearest = _kernels.BACKENDS["python"]["nearest_site"]
+    first = site_tables(rng, [20, 5], 300, False)
+    idx, d2 = nearest(*first)
+    want = idx.copy(), d2.copy()
+    for scratch in _kernels._nearest_scratch:
+        assert not np.shares_memory(idx, scratch) and not np.shares_memory(d2, scratch)
+    nearest(*site_tables(rng, [30, 9], 300, False))
+    nearest(rng.uniform(0, 100, 500), rng.uniform(0, 100, 500),
+            rng.uniform(0, 100, 40), rng.uniform(0, 100, 40))
+    assert np.array_equal(idx, want[0]) and np.array_equal(d2, want[1])
 
 
 def test_election_mask_parity():

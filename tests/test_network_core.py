@@ -88,13 +88,33 @@ def test_nearest_in_run_matches_exhaustive_scan():
         idx, d2 = nearest_in_run(net, members, ch_ids)
         for i, head, dist in zip(members, ch_ids[idx], d2):
             assert (head, dist) == exhaustive_nearest(net, i, ch_ids)
-    # a stack of runs: each member joins a head of its own run
-    nets = [deploy(20, 100.0, 0.5, rng) for _ in range(3)]
-    net = stack(nets)
+    # stacks of runs: each member joins a head of its own run.  Three
+    # runs of three heads; then one head next to thirty, a run with heads
+    # but no members, and a run with neither; then no members at all
+    net = stack([deploy(20, 100.0, 0.5, rng) for _ in range(3)])
     ch_ids = np.sort(np.concatenate([r * 20 + rng.choice(20, size=3, replace=False)
                                      for r in range(3)]))
-    members = np.setdiff1d(np.arange(60), ch_ids)
-    idx, d2 = nearest_in_run(net, members, ch_ids)
-    for i, head, dist in zip(members, ch_ids[idx], d2):
-        own = ch_ids[ch_ids // 20 == i // 20]
-        assert (head, dist) == exhaustive_nearest(net, i, own)
+    uneven = stack([deploy(40, 100.0, 0.5, rng) for _ in range(4)])
+    uneven_ids = np.sort(np.concatenate([[7], 40 + rng.choice(40, 30, replace=False),
+                                         80 + rng.choice(40, 5, replace=False)]))
+    for net, ch_ids, members in (
+            (net, ch_ids, np.setdiff1d(np.arange(60), ch_ids)),
+            (uneven, uneven_ids, np.setdiff1d(np.arange(80), uneven_ids)),
+            (uneven, uneven_ids, np.empty(0, np.int64))):
+        idx, d2 = nearest_in_run(net, members, ch_ids)
+        assert idx.shape == d2.shape == members.shape
+        for i, head, dist in zip(members, ch_ids[idx], d2):
+            own = ch_ids[ch_ids // net.run_size == i // net.run_size]
+            assert (head, dist) == exhaustive_nearest(net, i, own)
+
+
+def test_nearest_in_run_refuses_a_run_without_sites():
+    # a member of a run with no head has nowhere to go: refused by run,
+    # never handed another run's head
+    rng = np.random.default_rng(23)
+    net = stack([deploy(20, 100.0, 0.5, rng) for _ in range(3)])
+    ch_ids = np.array([3, 4, 45])
+    with pytest.raises(ValueError, match="run 1 has points but no site"):
+        nearest_in_run(net, np.array([0, 1, 25, 41]), ch_ids)
+    with pytest.raises(ValueError, match="run 0 has points but no site"):
+        nearest_in_run(net, np.array([0, 1]), np.empty(0, np.int64))
