@@ -25,8 +25,11 @@ with +inf, and each point carries its run index, so a point searches only
 its own run's sites; called without run indices it searches one run's
 1-D sites.  ``cover`` sees one run at a time: it reads the run's range
 graph (``range_graph``), which the engine builds once per run since nodes
-never move.  ``greedy_cover`` is ``cover`` on a graph built for the one
-call.
+never move, and takes one key per node (CAMP-TEEN's timers), so nothing
+is sorted: the next head is the free node of least key, the lowest id on
+ties, and a node keyed +inf is never a head.  Its work grows with the
+heads it elects, not with a sort of every node.  ``greedy_cover`` is
+``cover`` on a graph built for the one call, keyed by rank in an order.
 
 The charging phases pay the first-order radio model of LEACH (all costs
 in joules, distances in meters, payloads in bits).  Its constants are
@@ -187,22 +190,26 @@ def _relay_phase_loop(order, signals, residual, tx_d2, target,
     return to_sink
 
 
-def _cover_loop(order, adj, dead):
-    # Visit nodes by ascending timer; an uncovered node becomes a head and
-    # covers every still-uncovered neighbour in its row of the range graph.
+def _cover_loop(key, adj, dead):
+    # Repeatedly elect the free (alive, uncovered) node of least key, the
+    # lowest id on ties; it covers itself and every free neighbour in its
+    # row of the range graph.  A node keyed +inf (or NaN) is never elected.
     n = adj.shape[0]
     ch_of = np.full(n, -1, np.int64)
-    for t in range(order.shape[0]):
-        i = order[t]
-        if dead[i]:
-            continue
-        if ch_of[i] != -1:
-            continue
-        ch_of[i] = i
-        row = adj[i]
+    while True:
+        h = -1
+        best = np.inf
+        for i in range(n):
+            if not dead[i] and ch_of[i] == -1 and key[i] < best:
+                best = key[i]
+                h = i
+        if h < 0:
+            break
+        ch_of[h] = h
+        row = adj[h]
         for j in range(n):
             if row[j] and not dead[j] and ch_of[j] == -1:
-                ch_of[j] = i
+                ch_of[j] = h
     return ch_of
 
 
@@ -210,13 +217,10 @@ def _cover_loop(order, adj, dead):
 # vectorized fallbacks
 # ---------------------------------------------------------------------------
 
-# Most entries of a distance block in `range_graph`: 64 KB per float64
-# temporary, well under malloc's 128 KB mmap threshold.
-_NEAREST_BLOCK = 8192
-
-# Most entries of each of `_nearest_site_np`'s two scratch tables (512 KB
-# of float64).  The tables are kept and reused across calls, so no call
-# faults fresh memory in; larger problems are taken in blocks of rows.
+# Most entries of each of the two scratch tables (512 KB of float64) in
+# which `_nearest_site_np` and `range_graph` compute their distances.  The
+# tables are kept and reused across calls, so no call faults fresh memory
+# in; larger problems are taken in blocks of rows.
 # Two threads must not run the fallback at once: the simulator runs
 # batches in processes, never in threads.
 _NEAREST_CAP = 1 << 16
@@ -250,7 +254,8 @@ def _nearest_site_np(px, py, sx, sy, run):
         idx.fill(-1)
         d2min.fill(np.inf)
         return idx, d2min
-    # one row of sites per run, gathered per point below
+    # one row of sites per run, gathered per point below; no copy when the
+    # tables are transposed row-major ones, as `protocols` passes them
     sxr, syr = np.ascontiguousarray(sx.T), np.ascontiguousarray(sy.T)
     rows = max(1, _NEAREST_CAP // k)
     for a in range(0, n, rows):
@@ -292,25 +297,37 @@ def range_graph(x, y, range2):
     """The N x N boolean range graph of one run: entry (i, j) is True when
     `dx*dx + dy*dy <= range2`, with `dx = x[i] - x[j]` and
     `dy = y[i] - y[j]`.  Node positions never change, so a run builds its
-    graph once.  Rows are taken in blocks, so no temporary holds N x N
-    floats.  Shared by both backends."""
+    graph once.  The distances are computed in place in the kept scratch
+    tables, in blocks of rows of at most `_NEAREST_CAP` entries, so no
+    temporary holds N x N floats.  Shared by both backends."""
     n = x.shape[0]
     adj = np.empty((n, n), np.bool_)
-    rows = max(1, _NEAREST_BLOCK // max(n, 1))
+    rows = max(1, _NEAREST_CAP // max(n, 1))
     for a in range(0, n, rows):
-        dx = x[a:a + rows, None] - x[None, :]
-        dy = y[a:a + rows, None] - y[None, :]
-        np.less_equal(dx * dx + dy * dy, range2, out=adj[a:a + rows])
+        b = min(a + rows, n)
+        t1, t2 = _nearest_tables((b - a) * n)
+        dx = t1.reshape(b - a, n)
+        dy = t2.reshape(b - a, n)
+        np.subtract(x[a:b, None], x, out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(y[a:b, None], y, out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.less_equal(dx, range2, out=adj[a:b])
     return adj
 
 
 def _greedy_cover_of(cover):
     """`greedy_cover(order, x, y, dead, range2)`: the backend's `cover` on
-    the range graph of `x`, `y`, built for the one call.  The engine builds
-    each run's graph once and calls `cover`; this form serves callers that
-    hold positions, such as `warmup` and the benchmark's kernel timings."""
+    the range graph of `x`, `y`, built for the one call, keyed by rank in
+    `order` (nodes outside `order` keyed +inf: covered, never heads).  The
+    engine builds each run's graph once and calls `cover`; this form serves
+    callers that hold positions, such as `warmup` and the benchmark's
+    kernel timings."""
     def greedy_cover(order, x, y, dead, range2):
-        return cover(order, range_graph(x, y, range2), dead)
+        key = np.full(x.shape[0], np.inf)
+        key[order] = np.arange(order.shape[0], dtype=np.float64)
+        return cover(key, range_graph(x, y, range2), dead)
     return greedy_cover
 
 
@@ -319,33 +336,35 @@ _greedy_cover_loop = _greedy_cover_of(_cover_loop)
 
 
 def _election_mask_np(u, p, rm, eligible, alive):
+    # T is 1 wherever the loop takes it as 1 (denom <= 0), and the loop's
+    # capped quotient elsewhere, NaN included
     denom = 1.0 - p * rm
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = p / denom
-    t = np.where(denom <= 0.0, 1.0, np.minimum(raw, 1.0))
+    t = np.ones(u.shape[0])
+    np.divide(p, denom, out=t, where=~(denom <= 0.0))
+    np.minimum(t, 1.0, out=t)
     return eligible & alive & (u < t)
 
 
-def _cover_np(order, adj, dead):
-    # Same cover as the loop, one step per elected head instead of per node:
-    # the next head is the first node of `order` still alive and uncovered,
-    # and it takes the free nodes of its row of the range graph.  The head
-    # is taken even if its own entry is False (range2 < 0), so every step
-    # shrinks `free` and the loop ends.
+def _cover_np(key, adj, dead):
+    # Same cover as the loop, one step per elected head: `left` holds the
+    # keys below +inf of the free nodes and +inf elsewhere (NaN, like +inf,
+    # never passes the loop's `<`), so its first least entry is the next
+    # head, and the cover ends when that entry is +inf.  The head takes the
+    # free nodes of its row of the range graph, itself even if its own
+    # entry is False (range2 < 0), so every step shrinks `free`.
     ch_of = np.full(adj.shape[0], -1, np.int64)
     free = ~dead
-    t = 0
-    while t < order.shape[0]:
-        rest = free[order[t:]]
-        k = rest.argmax()
-        if not rest[k]:
+    left = np.where(free & (key < np.inf), key, np.inf)
+    while True:
+        h = left.argmin()
+        if left[h] == np.inf:
             break
-        t += k
-        i = order[t]
-        take = free & adj[i]
-        take[i] = True
-        ch_of[take] = i
-        free &= ~take
+        take = free & adj[h]
+        take[h] = True
+        took = take.nonzero()[0]
+        ch_of[took] = h
+        free[took] = False
+        left[took] = np.inf
     return ch_of
 
 
@@ -369,11 +388,13 @@ def _receive(residual, dest, count, e_elec_b):
     # Charge reception for packets delivered to heads `dest` (ids >= 0) and
     # add each head's receptions to `count`.
     # A head's charges are a run of equal subtractions, so only its number
-    # of packets matters, and a row [r, e, e, ...] accumulated left to right
-    # (sequentially, like the loop) holds its residual before each packet.
-    # The run is non-increasing, so the packets it can pay are the entries
-    # >= e, capped at the number sent; a head that runs short ends at 0.0
-    # and one already at <= 0 is left untouched.
+    # of packets matters.  Each head's segment [r, e, ..., e] of one flat
+    # array, reduced left to right (sequentially, like the loop), is its
+    # residual after paying every packet; the run is non-increasing, and
+    # r >= e exactly when r - e >= 0, so the head paid every packet exactly
+    # when its segment ends >= 0.  Only the heads that fall short replay
+    # their rows [r, e, e, ...] accumulated: they pay the entries >= e and
+    # end at 0.0.  A head already at <= 0 is left untouched.
     if dest.size == 0:
         return
     per = np.bincount(dest, minlength=residual.shape[0])
@@ -382,12 +403,21 @@ def _receive(residual, dest, count, e_elec_b):
     if heads.size == 0:
         return
     sent = per[heads]
-    most = int(sent.max())
-    run = np.full((heads.size, most + 1), e_elec_b)
-    run[:, 0] = residual[heads]
-    np.subtract.accumulate(run, axis=1, out=run)
-    got = np.minimum(np.add.reduce(run[:, :most] >= e_elec_b, axis=1), sent)
-    residual[heads] = np.where(got == sent, run[np.arange(heads.size), sent], 0.0)
+    starts = np.cumsum(sent + 1) - (sent + 1)
+    seg = np.full(int(starts[-1] + sent[-1] + 1), e_elec_b)
+    seg[starts] = residual[heads]
+    end = np.subtract.reduceat(seg, starts)
+    paid = end >= 0.0
+    got = sent
+    if not paid.all():
+        # a short head's entries >= e are a prefix shorter than its packets
+        short = ~paid
+        run = np.full((np.count_nonzero(short), int(sent[short].max()) + 1), e_elec_b)
+        run[:, 0] = seg[starts[short]]
+        np.subtract.accumulate(run, axis=1, out=run)
+        got = sent.copy()
+        got[short] = np.add.reduce(run >= e_elec_b, axis=1)
+    residual[heads] = np.where(paid, end, 0.0)
     count[heads] += got
 
 
@@ -500,7 +530,9 @@ def warmup() -> None:
     flags = np.ones(2, np.bool_)
     for impl in BACKENDS.values():
         impl["nearest_site"](one, one, one, one)
-        impl["nearest_site"](one, one, np.ones((2, 2)), np.ones((2, 2)), idx)
+        # `protocols.nearest_in_columns` passes transposed views of
+        # row-major site tables
+        impl["nearest_site"](one, one, np.ones((2, 2)).T, np.ones((2, 2)).T, idx)
         impl["election_mask"](one * 0.5, one * 0.1, one, flags, flags)
         impl["member_phase"](flags, idx, one, one.copy(), 1e-6, 1e-9, 1e-12, 100.0)
         impl["relay_phase"](idx, np.ones(2, np.int64), one.copy(), one, idx - 1,

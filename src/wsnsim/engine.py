@@ -23,10 +23,13 @@ round for the whole batch.  What stays per run: its generator, its sink
 membership and tier routing (a node only joins or relays to a head of
 its own run), CAMP-TEEN's range graph (N x N booleans, built once at
 construction, as nodes never move) and the cover read from it each
-round, DEEC's population terms (each node weighed against its own run's
-tiers), and its row of the batch's round record (`metrics.ROUND_RECORD`,
-one row per run and one column per round), which each round fills from
-the kernels' per-node outcomes.  A run of one is the batch of one.
+round, keyed by the run's timers, DEEC's population terms (each node
+weighed against its own run's tiers), and its row of the batch's round
+record (`metrics.ROUND_RECORD`, one row per run and one column per
+round), which each round fills from the kernels' per-node outcomes.  A
+run of one is the batch of one.  Nearest-head lookups take two kernel
+calls per round for the whole batch: one for membership, and one for
+every tier of the tier walk together.
 
 Every run of a batch reads one validated `ScenarioConfig`: the engine
 derives the per-packet radio charges and the amplifier crossover from it
@@ -179,18 +182,19 @@ class Engine:
 
         # membership: CAMP keeps its election-time cover, everyone else
         # joins the nearest head of its run.  The member phase reads
-        # `assign` and `d2ch` only for gated nodes, so only gated non-heads
-        # are placed.
+        # `d2ch` only for gated members, so only theirs is computed, and
+        # only gated non-heads are placed.
+        d2ch = np.zeros(net.n)
         if camp_cover is not None:
             assign = camp_cover.copy()
             assign[ch_ids] = -1
-            tgt = np.maximum(assign, 0)
-            dx = net.x - net.x[tgt]
-            dy = net.y - net.y[tgt]
-            d2ch = dx * dx + dy * dy
+            rows = (gate & (assign >= 0)).nonzero()[0]
+            tgt = assign[rows]
+            dx = net.x[rows] - net.x[tgt]
+            dy = net.y[rows] - net.y[tgt]
+            d2ch[rows] = dx * dx + dy * dy
         else:
             assign = np.full(net.n, -1, np.int64)
-            d2ch = np.zeros(net.n)
             if ch_ids.size:
                 member = gate.copy()
                 member[ch_ids] = False

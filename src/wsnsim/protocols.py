@@ -5,16 +5,18 @@ engine runs: LEACH's threshold (`leach_elect_chs`), TEEN's reporting gate
 (`teen_gate_mask`), DEEC's energy-weighted probabilities and personal
 epochs, H-TEEN's tiers and tier walk, CAMP-TEEN's timer-based cover, and
 the nearest-head search behind both cluster membership and the tier walk
-(`nearest_in_run`).  H-TEEN elects each tier by LEACH's rule, among the
-heads of the tier below (`hteen_promote_layers`).  DEEC's announced
+(`nearest_in_run`, `nearest_in_columns`).  H-TEEN elects each tier by
+LEACH's rule, evaluated only for the ids of the tier below
+(`hteen_promote_layers`), and its tier walk serves every tier's relaying
+heads with one nearest-head search (`hteen_build_hierarchy`).  DEEC's announced
 average and the lifetime estimate it decays over (`deec_lifetime_estimate`,
 from the radio model's expected round energy) are derived here too.  The
 steady-state data plane that spends energy is in ``engine``.
 
 Every rule takes a `NetworkState` that may stack several runs (see
 `network.stack`).  Elementwise rules need nothing more; the rest keep to
-each run's own nodes: DEEC's population terms, CAMP-TEEN's timer order
-and cover, and the nearest next-tier head.
+each run's own nodes: DEEC's population terms, CAMP-TEEN's timer-keyed
+cover, and the nearest next-tier head.
 """
 from __future__ import annotations
 
@@ -74,20 +76,22 @@ def leach_elect_chs(
 ) -> np.ndarray:
     """One round of LEACH's threshold election; returns elected ids (ascending).
 
-    A node is elected when it is alive, in the boolean mask `among` (default:
-    every node), has not served yet in this epoch (`tracker`), and its draw
-    `u` is below the threshold T = p / (1 - p * (rnd mod epoch)), capped at 1
-    and taken as 1 once the denominator is zero or below, so the epoch's
-    last round elects every remaining node.
+    A node is elected when it is alive, among the candidate ids `among`
+    (ascending; default: every node), has not served yet in this epoch
+    (`tracker`), and its draw `u` is below the threshold
+    T = p / (1 - p * (rnd mod epoch)), capped at 1 and taken as 1 once the
+    denominator is zero or below, so the epoch's last round elects every
+    remaining node.  The threshold is evaluated for the candidates only.
     """
     tracker.start_round(rnd)
     rm = float(rnd % tracker.epoch)
-    n = net.n
-    eligible = tracker.eligible if among is None else tracker.eligible & among
+    pick = slice(None) if among is None else among
+    alive = net.residual[pick] > 0.0
+    m = alive.shape[0]
     elected = _kernels.election_mask(
-        u, np.full(n, p), np.full(n, rm), eligible, net.residual > 0.0
+        u[pick], np.full(m, p), np.full(m, rm), tracker.eligible[pick], alive
     )
-    ids = np.where(elected)[0].astype(np.int64)
+    ids = elected.nonzero()[0] if among is None else among[elected]
     tracker.mark_elected(ids)
     return ids
 
@@ -235,17 +239,16 @@ def hteen_promote_layers(
     draws: np.ndarray,
 ) -> list[np.ndarray]:
     """Elect the nested head tiers, each by LEACH's rule (`leach_elect_chs`)
-    at `layer_p`: tier 0 among every node, tier l+1 among the heads of tier
-    l, with tier l's epoch tracker `trackers[l]` and draws `draws[l]`.
+    at `layer_p`: tier 0 among every node, tier l+1 among the ids of tier
+    l, with tier l's epoch tracker `trackers[l]` and draws `draws[l]`.  So
+    each tier's election sees only the heads of the tier below.
 
     Returns one id array per tier (ascending, each a subset of the previous).
     """
     tiers = [leach_elect_chs(net, layer_p, trackers[0], rnd, draws[0])]
     for level in range(1, layers):
-        heads = np.zeros(net.n, np.bool_)
-        heads[tiers[-1]] = True
         tiers.append(leach_elect_chs(net, layer_p, trackers[level], rnd, draws[level],
-                                     among=heads))
+                                     among=tiers[-1]))
     return tiers
 
 
@@ -263,59 +266,88 @@ def hteen_build_hierarchy(
     `direct_r2` are arrays with one value per run of `net`: the sink's
     coordinates and the squared short-circuit radius.  A flat protocol is
     a single tier, so all of its heads target the sink.
+
+    The tiers are nested and ascending, so every head of tier 0 sends in
+    exactly one tier, the highest that holds it, found by binary search in
+    tier 0: the walk handles all of them at once.  The relaying heads of
+    every tier are served by one nearest-head search, with one site column
+    per (tier, run): column l * runs + r holds tier l+1's heads in run r.
     """
-    hops = []
-    size = net.run_size
-    for ids, up in zip(tiers, tiers[1:] + [np.empty(0, np.int64)]):
-        promoted = np.zeros(net.n, np.bool_)
-        promoted[up] = True
-        senders = ids[~promoted[ids]]
-        run = senders // size
-        dx = net.x[senders] - sx[run]
-        dy = net.y[senders] - sy[run]
-        tx_d2 = dx * dx + dy * dy
-        targets = np.full(senders.size, -1, np.int64)
-        if up.size:
-            relay = tx_d2 > direct_r2[run]
-            # a run whose next tier is empty sends to the sink
-            relay &= np.bincount(up // size, minlength=net.runs)[run] > 0
-            via = senders[relay]
-            idx, d2up = nearest_in_run(net, via, up)
-            targets[relay] = up[idx]
-            tx_d2[relay] = d2up
-        hops.append((senders, targets, tx_d2))
-    return hops
+    size, runs, layers = net.run_size, net.runs, len(tiers)
+    heads = tiers[0]
+    level = np.zeros(heads.size, np.int64)
+    for up in tiers[1:]:
+        level[np.searchsorted(heads, up)] += 1
+    run = heads // size
+    dx = net.x[heads] - sx[run]
+    dy = net.y[heads] - sy[run]
+    tx_d2 = dx * dx + dy * dy
+    targets = np.full(heads.size, -1, np.int64)
+    if layers == 1:
+        return [(heads, targets, tx_d2)]
+    sites = np.concatenate(tiers[1:])
+    site_col = np.concatenate([l * runs + up // size for l, up in enumerate(tiers[1:])])
+    col = level * runs + run
+    # a head whose run's next tier is empty, or that is in the top tier
+    # (whose columns hold nothing), sends to the sink
+    filled = np.bincount(site_col, minlength=layers * runs) > 0
+    relay = (tx_d2 > direct_r2[run]) & filled[col]
+    at = relay.nonzero()[0]
+    if at.size:
+        idx, d2up = nearest_in_columns(net, heads[at], col[at], sites, site_col,
+                                       (layers - 1) * runs)
+        targets[at] = sites[idx]
+        tx_d2[at] = d2up
+    # tier by tier, each tier's senders in id order
+    order = np.argsort(level, kind="stable")
+    heads, targets, tx_d2 = heads[order], targets[order], tx_d2[order]
+    ends = np.cumsum(np.bincount(level, minlength=layers)).tolist()
+    return [(heads[lo:hi], targets[lo:hi], tx_d2[lo:hi])
+            for lo, hi in zip([0] + ends, ends)]
 
 
 def nearest_in_run(net: NetworkState, points: np.ndarray, sites: np.ndarray):
     """`_kernels.nearest_site` for node ids `points` among node ids `sites`,
     each point searching only the sites of its own run, in one kernel call
-    for the whole batch.
+    for the whole batch (`nearest_in_columns` with one column per run).
 
-    Both id arrays are ascending.  Run r's sites fill column r of two
-    (k_max, runs) coordinate tables in id order, padded with +inf, so the
-    kernel's first-index tie rule is the first site in id order; a batch
-    of one run passes its sites as they are.  Returns (index into `sites`,
-    squared distance) per point; raises ValueError if a run with a point
-    has no site.
+    Both id arrays are ascending.  Returns (index into `sites`, squared
+    distance) per point; raises ValueError if a run with a point has no
+    site.
+    """
+    size = net.run_size
+    return nearest_in_columns(net, points, points // size, sites, sites // size, net.runs)
+
+
+def nearest_in_columns(net: NetworkState, points: np.ndarray, point_col: np.ndarray,
+                       sites: np.ndarray, site_col: np.ndarray, columns: int):
+    """`_kernels.nearest_site` for node ids `points` among node ids `sites`,
+    point i searching only the sites in its column `point_col[i]`, in one
+    kernel call.
+
+    `site_col` is non-decreasing, and ascending ids within a column.
+    Column c's sites fill row c of two (columns, k_max) coordinate tables
+    in that order, padded with +inf, and the kernel reads their transposes,
+    so its first-index tie rule is the first site in id order; a single
+    column is passed as it is.  Returns (index into `sites`, squared
+    distance) per point; raises ValueError if a column with a point has no
+    site, naming the point's run.
     """
     x, y = net.x, net.y
-    if net.runs == 1:
+    if columns == 1:
         idx, d2 = _kernels.nearest_site(x[points], y[points], x[sites], y[sites])
     else:
-        site_run = sites // net.run_size
-        count = np.bincount(site_run, minlength=net.runs)
+        count = np.bincount(site_col, minlength=columns)
         first = np.cumsum(count) - count
-        shape = (max(int(count.max()), 1), net.runs)
-        slot = (np.arange(sites.size) - first[site_run], site_run)
+        shape = (columns, max(int(count.max()), 1))
+        slot = (site_col, np.arange(sites.size) - first[site_col])
         sx = np.full(shape, np.inf)
         sy = np.full(shape, np.inf)
         sx[slot] = x[sites]
         sy[slot] = y[sites]
-        run = points // net.run_size
-        idx, d2 = _kernels.nearest_site(x[points], y[points], sx, sy, run)
-        idx += first[run]
-    # the kernel leaves d2 at +inf only for a point whose run has no site
+        idx, d2 = _kernels.nearest_site(x[points], y[points], sx.T, sy.T, point_col)
+        idx += first[point_col]
+    # the kernel leaves d2 at +inf only for a point whose column has no site
     if d2.size and d2.max() == np.inf:
         bad = points[np.argmax(d2 == np.inf)] // net.run_size
         raise ValueError(f"nearest_in_run: run {bad} has points but no site")
@@ -345,23 +377,20 @@ def campteen_elect_chs(
     residual over its initial energy, so richer nodes fire earlier.  Nodes
     fire by ascending timer (ties by id); a node out of range of every
     elected head becomes one and captures its uncovered neighbours.  Each
-    run of `net` is ordered and covered on its own, on its range graph in
-    `graphs` (`campteen_range_graphs`).  Returns (head ids ascending, ch_of
+    run of `net` is covered on its own, on its range graph in `graphs`
+    (`campteen_range_graphs`), by `_kernels.cover` keyed by the run's
+    timers, so no timer is sorted.  Returns (head ids ascending, ch_of
     array with -1 for dead nodes).
     """
     alive = net.residual > 0.0
     e_norm = np.where(alive, net.residual / net.initial_energy, 1.0)
+    # a dead node's timer is never read: the cover is told it is dead
     timer = cfg.camp_timer_k / e_norm - alpha
-    timer = np.where(alive, timer, np.inf).reshape(net.runs, -1)
-    # dead nodes' infinite timers sort last, after the finite ones
-    orders = np.argsort(timer, axis=1, kind="stable").astype(np.int64)
-    finite = np.count_nonzero(np.isfinite(timer), axis=1).tolist()
     size = net.run_size
     ch_of = np.full(net.n, -1, np.int64)
-    for r, k in enumerate(finite):
-        if k:
-            lo, hi = r * size, (r + 1) * size
-            cover = _kernels.cover(orders[r, :k], graphs[r], ~alive[lo:hi])
-            ch_of[lo:hi] = np.where(cover < 0, -1, cover + lo)
+    for r, lo in enumerate(range(0, net.n, size)):
+        hi = lo + size
+        cover = _kernels.cover(timer[lo:hi], graphs[r], ~alive[lo:hi])
+        ch_of[lo:hi] = np.where(cover < 0, -1, cover + lo)
     ids = np.where(ch_of == np.arange(net.n))[0].astype(np.int64)
     return ids, ch_of

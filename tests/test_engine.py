@@ -226,9 +226,9 @@ def test_campteen_builds_each_runs_range_graph_once(monkeypatch):
         built.append((x.copy(), adj))
         return adj
 
-    def cover_spy(order, adj, dead):
+    def cover_spy(key, adj, dead):
         read.append(adj)
-        return cover(order, adj, dead)
+        return cover(key, adj, dead)
 
     monkeypatch.setattr(_kernels, "range_graph", graph_spy)
     monkeypatch.setattr(_kernels, "cover", cover_spy)

@@ -183,6 +183,7 @@ def test_election_mask_parity():
         u = rng.random(n)
         p = rng.uniform(0.01, 1.0, n)
         rm = np.floor(rng.uniform(0, 12, n))
+        rm[rng.random(n) < 0.05] = np.nan  # the loop's threshold is NaN: never elected
         elig = rng.random(n) < 0.8
         alive = rng.random(n) < 0.9
         ref, *others = kernel_impls("election_mask")
@@ -203,10 +204,12 @@ def test_election_mask_epoch_end_certainty():
 
 
 def cover_instances(rng):
-    """Seeded cover inputs: dead nodes (left in the order or dropped from
-    it, as the election does), empty orders, timer ties (a stable argsort
-    over few distinct values), duplicated coordinates, negative and zero
-    ranges, a range met exactly and a range wider than the field."""
+    """Seeded cover inputs keyed like CAMP-TEEN's timers: dead nodes (with
+    finite keys, as the election passes them, or +inf), keys of few
+    distinct values (ties: the lowest id wins), alive nodes keyed +inf
+    (covered, never heads), no finite key at all, duplicated coordinates,
+    negative and zero ranges, a range met exactly and a range wider than
+    the field; then populations in which every node is dead."""
     for trial in range(60):
         n = int(rng.integers(1, 150))
         if trial % 3 == 0:  # coarse grid: many coincident points
@@ -215,23 +218,40 @@ def cover_instances(rng):
         else:
             x, y = rng.uniform(0, 100, n), rng.uniform(0, 100, n)
         dead = rng.random(n) < rng.choice((0.0, 0.3, 0.95))
-        timer = np.floor(rng.uniform(0, 4, n))  # few distinct values: ties
-        order = np.argsort(timer, kind="stable").astype(np.int64)
+        if trial % 4 == 3:
+            key = rng.uniform(-1.0, 3.0, n)
+        else:
+            key = np.floor(rng.uniform(0, 4, n))  # few distinct values: ties
         if trial % 5 == 0:
-            order = order[:0]
+            key[:] = np.inf
         elif trial % 2:
-            order = order[~dead[order]]
+            key[dead | (rng.random(n) < 0.2)] = np.inf
         # 400 is the grid step squared (on the boundary); -1 makes every
-        # node of the order a head of its own
+        # node with a finite key a head of its own
         for range2 in (-1.0, 0.0, 400.0, 625.0, 1e6):
-            yield order, x, y, dead, range2
+            yield key, x, y, dead, range2
+    for n in (1, 40):
+        x = rng.uniform(0, 100, n)
+        for range2 in (-1.0, 625.0):
+            yield rng.uniform(0, 4, n), x, x[::-1].copy(), np.ones(n, np.bool_), range2
+
+
+def key_order(key):
+    """The nodes with a finite key, by ascending key, ties by id."""
+    order = np.argsort(key, kind="stable").astype(np.int64)
+    return order[np.isfinite(key[order])]
 
 
 def test_greedy_cover_parity():
+    # greedy_cover's order is the stable key order: it equals `cover` keyed
+    # by the same values, on every backend
     rng = np.random.default_rng(43)
     ref, *others = kernel_impls("greedy_cover")
-    for order, x, y, dead, range2 in cover_instances(rng):
+    for key, x, y, dead, range2 in cover_instances(rng):
+        order = key_order(key)
         a = ref(order, x, y, dead, range2)
+        adj = _kernels.range_graph(x, y, range2)
+        assert np.array_equal(a, _kernels._cover_loop(key, adj, dead))
         for impl in others:
             assert np.array_equal(a, impl(order, x, y, dead, range2))
 
@@ -251,17 +271,19 @@ def pairwise_d2(x, y):
 def test_range_graph_matches_pairwise_loop(monkeypatch):
     # the cover instances (a grid with pairs exactly on range2 = 400, and
     # range2 < 0), then sizes whose last row block is partial: 91 nodes in
-    # blocks of 90 rows, 300 in blocks of 27, and 20 in blocks of one row
+    # blocks of 90 rows, 300 in blocks of 27, and 20 in blocks of one row,
+    # computed in the kept scratch (a cap of 39 entries) and in fresh
+    # tables (a cap of 7, narrower than one row)
     rng = np.random.default_rng(44)
     d2, last = None, None
-    for order, x, y, dead, range2 in cover_instances(rng):
+    for key, x, y, dead, range2 in cover_instances(rng):
         if x is not last:
             d2, last = pairwise_d2(x, y), x
         adj = _kernels.range_graph(x, y, range2)
         assert adj.dtype == np.bool_ and adj.shape == (x.size, x.size)
         assert np.array_equal(adj, d2 <= range2)
-    for n, block in ((91, 8192), (300, 8192), (20, 7)):
-        monkeypatch.setattr(_kernels, "_NEAREST_BLOCK", block)
+    for n, cap in ((91, 8192), (300, 8192), (20, 39), (20, 7)):
+        monkeypatch.setattr(_kernels, "_NEAREST_CAP", cap)
         x = rng.integers(0, 15, n) * 20.0
         y = rng.integers(0, 15, n) * 20.0
         d2 = pairwise_d2(x, y)
@@ -273,12 +295,35 @@ def test_cover_parity():
     # every backend's cover on the range graph, against the uncompiled loop
     rng = np.random.default_rng(45)
     ref, *others = kernel_impls("cover")
-    for order, x, y, dead, range2 in cover_instances(rng):
+    for key, x, y, dead, range2 in cover_instances(rng):
         adj = _kernels.range_graph(x, y, range2)
-        a = ref(order, adj, dead)
+        a = ref(key, adj, dead)
         assert a.dtype == np.int64 and a.shape == x.shape
         for impl in others:
-            assert np.array_equal(a, impl(order, adj, dead))
+            assert np.array_equal(a, impl(key, adj, dead))
+
+
+def test_cover_keys():
+    # Five nodes on a line 10 m apart, each in range of its neighbours.
+    # Keys tie at 1.0 between nodes 1 and 3, and the lower id heads; node
+    # 0 is alive with key +inf, so it is covered but never a head; node 2,
+    # the least key, is dead and neither heads nor is covered.
+    x = np.arange(5) * 10.0
+    adj = _kernels.range_graph(x, np.zeros(5), 100.0)
+    key = np.array([np.inf, 1.0, -5.0, 1.0, 2.0])
+    dead = np.array([False, False, True, False, False])
+    for impl in kernel_impls("cover"):
+        assert impl(key, adj, dead).tolist() == [1, 1, -1, 3, 3]
+        # range2 < 0: every node with a finite key heads itself, even
+        # though its own entry of the graph is False
+        alone = _kernels.range_graph(x, np.zeros(5), -1.0)
+        assert impl(key, alone, dead).tolist() == [-1, 1, -1, 3, 4]
+        assert impl(key, adj, np.ones(5, np.bool_)).tolist() == [-1] * 5
+        assert impl(np.full(5, np.inf), adj, ~dead).tolist() == [-1] * 5
+        # a NaN key never passes the loop's `<`: like +inf, never a head
+        nan = np.where(np.isinf(key), np.nan, key)
+        assert impl(nan, adj, dead).tolist() == [1, 1, -1, 3, 3]
+        assert impl(np.full(5, np.nan), alone, dead).tolist() == [-1] * 5
 
 
 # Per-packet radio constants: the engine's defaults for a 4000-bit packet,

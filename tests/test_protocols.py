@@ -343,14 +343,14 @@ def test_hteen_tier_is_leach_election_among_the_tier_below():
         draws = rng.random((3, net.n))
         before = [copy.deepcopy(t) for t in trackers]
         tiers = hteen_promote_layers(net, 3, trackers, 0.4, rnd, draws)
-        below = np.ones(net.n, np.bool_)
+        below = None
         for level, tier in enumerate(tiers):
             want = leach_elect_chs(net, 0.4, before[level], rnd, draws[level],
                                    among=below)
+            assert tier.dtype == np.int64
             assert tier.tobytes() == want.tobytes()
             assert before[level].eligible.tobytes() == trackers[level].eligible.tobytes()
-            below = np.zeros(net.n, np.bool_)
-            below[tier] = True
+            below = tier
         assert not set(tiers[0].tolist()) & set(dead.tolist())
         top += len(tiers[-1])
     assert top > 0
@@ -467,6 +467,57 @@ def test_hteen_hierarchy_reads_each_runs_sink():
     assert direct[0] == 0 and direct[1] >= 1
 
 
+def test_hteen_tier_walk_is_one_nearest_site_call(monkeypatch):
+    # Three stacked runs of four tiers on a 10 m grid (equal distances:
+    # the first next-tier head in id order wins): run 0 fills every tier,
+    # run 1 has an empty tier 1 (hence no tier above it either), and run
+    # 2 an empty tier 2.  One kernel call serves every tier's relaying
+    # heads, and each run's (senders, targets, tx_d2) equals its solo
+    # walk, byte for byte.
+    real, calls = _kernels.nearest_site, []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "nearest_site", spy)
+    rng = np.random.default_rng(31)
+    nets = [small_net(seed=s) for s in (12, 13, 14)]
+    for net in nets:
+        net.x[:] = np.round(net.x / 10.0) * 10.0
+        net.y[:] = np.round(net.y / 10.0) * 10.0
+    tiers = []
+    for sizes in ((30, 8, 3, 1), (20, 0, 0, 0), (25, 5, 0, 0)):
+        chosen = [np.arange(100)]
+        for k in sizes:
+            chosen.append(np.sort(rng.choice(chosen[-1], k, replace=False)).astype(np.int64))
+        tiers.append(chosen[1:])
+    sinks = [(50.0, 50.0, -np.inf), (50.0, 100.0, -np.inf), (30.0, 100.0, 900.0)]
+    solo = [hteen_build_hierarchy(net, t, per_run(sx), per_run(sy), per_run(r2))
+            for net, t, (sx, sy, r2) in zip(nets, tiers, sinks)]
+    assert len(calls) == 2  # run 1 relays nothing
+    calls.clear()
+
+    size = nets[0].n
+    stacked = [np.concatenate([t + run * size for run, t in enumerate(level)])
+               for level in zip(*tiers)]
+    sx, sy, r2 = (per_run(*values) for values in zip(*sinks))
+    hops = hteen_build_hierarchy(stack(nets), stacked, sx, sy, r2)
+    assert len(calls) == 1
+    assert len(hops) == 4
+    for (s, t, d), *alone in zip(hops, *solo):
+        for run, (s1, t1, d1) in enumerate(alone):
+            mine = s // size == run
+            assert s[mine].tobytes() == (s1 + run * size).tobytes()
+            assert t[mine].tobytes() == np.where(t1 < 0, -1, t1 + run * size).tobytes()
+            assert d[mine].tobytes() == d1.tobytes()
+    # run 0 relays from each of its three lower tiers; run 2 short-circuits
+    relayed = [[bool(np.any(t[s // size == run] >= 0)) for s, t, _ in hops] for run in (0, 1, 2)]
+    assert relayed == [[True, True, True, False], [False] * 4, [True, False, False, False]]
+    s0, t0, _ = hops[0]
+    assert np.any(t0[s0 // size == 2] < 0)
+
+
 def test_hteen_flat_tier_targets_sink_at_sink_distance():
     net = small_net(seed=12)
     tracker = EpochTracker(net.n, 0.1)
@@ -501,14 +552,30 @@ def test_campteen_timer_frozen():
         campteen_timer(0.0, 1.0, 0.1)
 
 
-def test_campteen_fires_in_oracle_timer_order(monkeypatch):
-    # the order handed to the cover is the alive nodes sorted by the
-    # oracle's timer, ties by id; dead nodes never fire
-    real, orders = _kernels.cover, []
+def greedy_in_order(net, order, range2):
+    """The cover by hand: nodes fire in `order`, and a node not yet owned
+    heads and owns every unowned node within range; -1 for the rest."""
+    owner = [-1] * net.n
+    for i in order:
+        if owner[i] != -1:
+            continue
+        owner[i] = i
+        for j in range(net.n):
+            d2 = (net.x[i] - net.x[j]) ** 2 + (net.y[i] - net.y[j]) ** 2
+            if owner[j] == -1 and net.residual[j] > 0.0 and d2 <= range2:
+                owner[j] = i
+    return owner
 
-    def spy(order, *args):
-        orders.append(order.copy())
-        return real(order, *args)
+
+def test_campteen_fires_in_oracle_timer_order(monkeypatch):
+    # the keys handed to the cover are the oracle's timers of the alive
+    # nodes, bit for bit, and the dead nodes are passed as dead; the cover
+    # they give is the alive nodes firing by timer, ties by id
+    real, calls = _kernels.cover, []
+
+    def spy(key, adj, dead):
+        calls.append((key.copy(), dead.copy()))
+        return real(key, adj, dead)
 
     monkeypatch.setattr(_kernels, "cover", spy)
     rng = np.random.default_rng(29)
@@ -520,11 +587,16 @@ def test_campteen_fires_in_oracle_timer_order(monkeypatch):
         else:
             levels, alpha = rng.uniform(1e-6, 0.5, net.n), rng.random(net.n)
         net.residual[:] = np.where(rng.random(net.n) < 0.3, 0.0, levels)
-        campteen_elect_chs(net, cfg, alpha, campteen_range_graphs(net, cfg))
+        _, ch_of = campteen_elect_chs(net, cfg, alpha, campteen_range_graphs(net, cfg))
+        key, dead = calls.pop()
         alive = [i for i in range(net.n) if net.residual[i] > 0.0]
         timer = {i: campteen_timer(net.residual[i] / net.initial_energy[i],
                                    cfg.camp_timer_k, alpha[i]) for i in alive}
-        assert orders.pop().tolist() == sorted(alive, key=lambda i: (timer[i], i))
+        assert dead.tolist() == [i not in timer for i in range(net.n)]
+        assert key[alive].tobytes() == np.array([timer[i] for i in alive]).tobytes()
+        order = sorted(alive, key=lambda i: (timer[i], i))
+        range2 = cfg.camp_comm_range_m * cfg.camp_comm_range_m
+        assert ch_of.tolist() == greedy_in_order(net, order, range2)
 
 
 def test_campteen_heads_form_maximal_independent_set():
@@ -559,19 +631,9 @@ def test_campteen_matches_bruteforce_greedy():
 
         timers = [cfg.camp_timer_k / 1.0 - alpha[i] for i in range(net.n)]
         order = sorted(range(net.n), key=lambda i: (timers[i], i))
-        heads, owner = [], {}
-        for i in order:
-            if i in owner:
-                continue
-            heads.append(i)
-            owner[i] = i
-            for j in range(net.n):
-                if j not in owner:
-                    d2 = (net.x[i] - net.x[j]) ** 2 + (net.y[i] - net.y[j]) ** 2
-                    if d2 <= 625.0:
-                        owner[j] = i
-        assert sorted(heads) == ids.tolist()
-        assert [owner[i] for i in range(net.n)] == ch_of.tolist()
+        owner = greedy_in_order(net, order, 625.0)
+        assert [i for i in range(net.n) if owner[i] == i] == ids.tolist()
+        assert owner == ch_of.tolist()
 
 
 def test_campteen_rich_nodes_win_election():
