@@ -21,7 +21,6 @@ from .metrics import (
 )
 from .network import NetworkState, deploy, sense_environment
 from .protocols import (
-    DeecEligibility,
     EpochTracker,
     ProtocolKind,
     campteen_elect_chs,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKENDS",
     "CSV_HEADER",
-    "DeecEligibility",
     "Engine",
     "EpochTracker",
     "NetworkState",

@@ -6,9 +6,11 @@ member transmissions by node id, then head aggregation/forwarding from
 the bottom tier up.  Every election yields a list of head tiers; the
 flat protocols (LEACH, TEEN, DEEC, CAMP-TEEN) yield a single tier, and
 H-TEEN one LEACH election per tier, each among the heads of the tier
-below, so one tier walk forwards for all five.  Every joule leaves
-through the residual-energy arrays, so consumed energy always equals the
-drop in total residual.
+below, so one tier walk forwards for all five.  LEACH, TEEN, DEEC and
+H-TEEN elect by one threshold rule, each election stage with its own
+epoch tracker (`protocols.EpochTracker`), kept in one list.  Every joule
+leaves through the residual-energy arrays, so consumed energy always
+equals the drop in total residual.
 
 One engine steps a batch of R runs of N nodes (one protocol; each run
 with its own sink and seed) as a single population of R*N nodes: run r
@@ -51,7 +53,6 @@ from . import _kernels
 from .metrics import ROUND_RECORD
 from .network import NetworkState, sense_environment, stack
 from .protocols import (
-    DeecEligibility,
     EpochTracker,
     ProtocolKind,
     campteen_elect_chs,
@@ -112,16 +113,12 @@ class Engine:
         r2 = cfg.sink_range_m * cfg.sink_range_m
         self._direct_r2 = np.array([r2 if mode == SinkMode.MOBILE_TOP else -np.inf
                                     for mode in modes])
-        # one row of draws per run and round: sensing, then each election stage
-        stages = 1 + (cfg.hteen_layers if kind == ProtocolKind.HTEEN else 1)
-        self._draws = np.zeros((runs, stages, n))
-        if kind in (ProtocolKind.LEACH, ProtocolKind.TEEN):
-            self.tracker = EpochTracker(net.n, cfg.p_opt)
-        elif kind == ProtocolKind.HTEEN:
-            self.trackers = [EpochTracker(net.n, cfg.hteen_layer_p)
-                             for _ in range(cfg.hteen_layers)]
-        elif kind == ProtocolKind.DEEC:
-            self.elig = DeecEligibility(net.n)
+        # one row of draws per run and round: sensing, then each election
+        # stage, and one epoch tracker per stage (CAMP-TEEN's cover reads none)
+        stages = cfg.hteen_layers if kind == ProtocolKind.HTEEN else 1
+        self._draws = np.zeros((runs, 1 + stages, n))
+        self.trackers = [EpochTracker(net.n) for _ in range(stages)]
+        if kind == ProtocolKind.DEEC:
             self.lifetime_estimate = deec_lifetime_estimate(cfg, self.nets[0])
         elif kind == ProtocolKind.CAMPTEEN:
             self.graphs = campteen_range_graphs(net, cfg)
@@ -134,17 +131,16 @@ class Engine:
 
         Flat protocols elect a single tier.
         """
-        net = self.net
+        net, trackers = self.net, self.trackers
         if self.kind in (ProtocolKind.LEACH, ProtocolKind.TEEN):
-            return [leach_elect_chs(net, self.cfg.p_opt, self.tracker, rnd, u[0])], None
+            return [leach_elect_chs(net, self.cfg.p_opt, trackers[0], rnd, u[0])], None
         if self.kind == ProtocolKind.DEEC:
             # every run starts with the same energy, so all announce one average
             avg = deec_average_energy(self.nets[0].e_total, self.size, rnd,
                                       self.lifetime_estimate)
-            return [deec_elect_chs(net, self.cfg, self.elig, rnd, avg, u[0])], None
+            return [deec_elect_chs(net, self.cfg, trackers[0], rnd, avg, u[0])], None
         if self.kind == ProtocolKind.HTEEN:
-            return hteen_promote_layers(net, self.cfg.hteen_layers, self.trackers,
-                                        self.cfg.hteen_layer_p, rnd, u), None
+            return hteen_promote_layers(net, trackers, self.cfg.hteen_layer_p, rnd, u), None
         ch_ids, ch_of = campteen_elect_chs(net, self.cfg, u[0], self.graphs)
         return [ch_ids], ch_of
 

@@ -29,7 +29,7 @@ class NetworkState:
     `runs` is the number of equal runs stacked into it (see `stack`).
     """
 
-    def __init__(self, x, y, energy_factor, initial_energy, field_m):
+    def __init__(self, x, y, energy_factor, initial_energy):
         self.runs = 1
         self.x = x
         self.y = y
@@ -38,7 +38,6 @@ class NetworkState:
         self.residual = initial_energy.copy()
         self.sensed = np.zeros(x.shape[0])
         self.last_tx = np.full(x.shape[0], np.nan)
-        self.field_m = float(field_m)
         self.e_total = float(initial_energy.sum())
 
     @property
@@ -79,7 +78,7 @@ def deploy(
     factor[:n_super] = super_factor
     factor[n_super:n_super + n_adv] = advanced_factor
     initial = initial_energy_j * (1.0 + factor)
-    return NetworkState(x, y, factor, initial, field_m)
+    return NetworkState(x, y, factor, initial)
 
 
 def stack(nets: list[NetworkState]) -> NetworkState:
@@ -95,7 +94,7 @@ def stack(nets: list[NetworkState]) -> NetworkState:
     whole = {name: np.concatenate([getattr(net, name) for net in nets])
              for name in _NODE_ARRAYS}
     out = NetworkState(whole["x"], whole["y"], whole["energy_factor"],
-                       whole["initial_energy"], nets[0].field_m)
+                       whole["initial_energy"])
     out.runs = len(nets)
     for name, array in whole.items():
         setattr(out, name, array)

@@ -2,16 +2,19 @@
 
 Each rule is written once, over the whole population, and is the code the
 engine runs: LEACH's threshold (`leach_elect_chs`), TEEN's reporting gate
-(`teen_gate_mask`), DEEC's energy-weighted probabilities and personal
-epochs, H-TEEN's tiers and tier walk, CAMP-TEEN's timer-based cover, and
-the nearest-head search behind both cluster membership and the tier walk
-(`nearest_in_run`, `nearest_in_columns`).  H-TEEN elects each tier by
-LEACH's rule, evaluated only for the ids of the tier below
-(`hteen_promote_layers`), and its tier walk serves every tier's relaying
-heads with one nearest-head search (`hteen_build_hierarchy`).  DEEC's announced
-average and the lifetime estimate it decays over (`deec_lifetime_estimate`,
-from the radio model's expected round energy) are derived here too.  The
-steady-state data plane that spends energy is in ``engine``.
+(`teen_gate_mask`), DEEC's energy-weighted probabilities, H-TEEN's tiers
+and tier walk, CAMP-TEEN's timer-based cover, and the nearest-head search
+behind both cluster membership and the tier walk (`nearest_in_run`,
+`nearest_in_columns`).  LEACH's threshold and its rotating epochs, kept by
+one tracker class (`EpochTracker`), serve every threshold election: LEACH
+and TEEN at p_opt, DEEC (`deec_elect_chs`) at a probability and a personal
+epoch per node, and H-TEEN (`hteen_promote_layers`) once per tier,
+evaluated only for the ids of the tier below.  H-TEEN's tier walk serves
+every tier's relaying heads with one nearest-head search
+(`hteen_build_hierarchy`).  DEEC's announced average and the lifetime
+estimate it decays over (`deec_lifetime_estimate`, from the radio model's
+expected round energy) are derived here too.  The steady-state data plane
+that spends energy is in ``engine``.
 
 Every rule takes a `NetworkState` that may stack several runs (see
 `network.stack`).  Elementwise rules need nothing more; the rest keep to
@@ -52,22 +55,43 @@ class ProtocolKind(IntEnum):
 class EpochTracker:
     """Tracks which nodes may still become head in the current epoch.
 
-    An epoch lasts ceil(1/p) rounds (`epoch`).  Every node re-enters the
-    eligible set when the round index is a multiple of the epoch length;
-    being elected removes a node until then.
+    Every node re-enters the eligible set when the round index is a
+    multiple of its epoch length, which the election passes each round
+    (`start_round`); being elected removes a node until then.
     """
 
-    def __init__(self, n_nodes: int, p: float):
-        self.p = p
-        self.epoch = math.ceil(1.0 / p)
+    def __init__(self, n_nodes: int):
         self.eligible = np.ones(n_nodes, np.bool_)
 
-    def start_round(self, rnd: int) -> None:
-        if rnd % self.epoch == 0:
+    def start_round(self, rnd: int, epoch):
+        """Re-admit the nodes whose epoch starts at `rnd`; returns rnd mod
+        epoch.  `epoch` is one length for every node or one per node."""
+        rm = rnd % epoch
+        if isinstance(rm, np.ndarray):
+            self.eligible[rm == 0] = True
+        elif rm == 0:
             self.eligible[:] = True
+        return rm
 
     def mark_elected(self, ids) -> None:
         self.eligible[ids] = False
+
+
+def _threshold_elect(net, p, epoch, tracker, rnd, u, among=None):
+    """LEACH's threshold election (see `leach_elect_chs`) at probability
+    `p` and epoch length `epoch`: both one value for every node, or both
+    one per node (with `among` left at None).  Returns elected ids
+    (ascending)."""
+    rm = tracker.start_round(rnd, epoch)
+    pick = slice(None) if among is None else among
+    alive = net.residual[pick] > 0.0
+    if not isinstance(p, np.ndarray):
+        m = alive.shape[0]
+        p, rm = np.full(m, p), np.full(m, float(rm))
+    elected = _kernels.election_mask(u[pick], p, rm, tracker.eligible[pick], alive)
+    ids = elected.nonzero()[0] if among is None else among[elected]
+    tracker.mark_elected(ids)
+    return ids
 
 
 def leach_elect_chs(
@@ -77,23 +101,13 @@ def leach_elect_chs(
     """One round of LEACH's threshold election; returns elected ids (ascending).
 
     A node is elected when it is alive, among the candidate ids `among`
-    (ascending; default: every node), has not served yet in this epoch
-    (`tracker`), and its draw `u` is below the threshold
+    (ascending; default: every node), has not served yet in this epoch of
+    ceil(1/p) rounds (`tracker`), and its draw `u` is below the threshold
     T = p / (1 - p * (rnd mod epoch)), capped at 1 and taken as 1 once the
     denominator is zero or below, so the epoch's last round elects every
     remaining node.  The threshold is evaluated for the candidates only.
     """
-    tracker.start_round(rnd)
-    rm = float(rnd % tracker.epoch)
-    pick = slice(None) if among is None else among
-    alive = net.residual[pick] > 0.0
-    m = alive.shape[0]
-    elected = _kernels.election_mask(
-        u[pick], np.full(m, p), np.full(m, rm), tracker.eligible[pick], alive
-    )
-    ids = elected.nonzero()[0] if among is None else among[elected]
-    tracker.mark_elected(ids)
-    return ids
+    return _threshold_elect(net, p, math.ceil(1.0 / p), tracker, rnd, u, among)
 
 
 def teen_gate_mask(sensed, last_tx, alive, hard: float, soft: float) -> np.ndarray:
@@ -174,56 +188,33 @@ def deec_probabilities(
     return np.clip(p, 0.0, 1.0)
 
 
-class DeecEligibility:
-    """Per-node epochs: node i re-enters the pool every floor(1/p_i) rounds."""
-
-    def __init__(self, n_nodes: int):
-        self.eligible = np.ones(n_nodes, np.bool_)
-
-    def start_round(self, rnd: int, p: np.ndarray) -> np.ndarray:
-        """Re-admit the nodes whose epoch starts at `rnd`; returns every
-        node's epoch length max(floor(1/p_i), 1)."""
-        with np.errstate(divide="ignore"):
-            inv = np.floor(1.0 / np.maximum(p, 1e-300))
-        ep = np.maximum(inv, 1.0)
-        reset = (rnd % ep) == 0
-        self.eligible[reset & (p > 0.0)] = True
-        return ep
-
-    def mark_elected(self, ids) -> None:
-        self.eligible[ids] = False
-
-
 def deec_elect_chs(
     net: NetworkState,
     cfg: ScenarioConfig,
-    elig: DeecEligibility,
+    tracker: EpochTracker,
     rnd: int,
     avg_energy: float,
     u: np.ndarray,
 ) -> np.ndarray:
     """Energy-weighted threshold election; returns elected ids (ascending).
 
-    `avg_energy` is the announced average, one for every run of `net` (the
-    runs of a batch are deployed from one config).  Each run is weighed
-    against its own population (`deec_probabilities`).  Reads `cfg.p_opt`.
-    Once the average has decayed to zero the probabilities saturate at 1
-    (their limiting value), so surviving nodes keep electing instead of
-    stalling.
+    LEACH's rule with a probability p_i per node (`deec_probabilities`)
+    and a personal epoch of max(floor(1/p_i), 1) rounds.  `avg_energy` is
+    the announced average, one for every run of `net` (the runs of a batch
+    are deployed from one config).  Each run is weighed against its own
+    population.  Reads `cfg.p_opt`.  Once the average has decayed to zero
+    the probabilities saturate at 1 (their limiting value), so surviving
+    nodes keep electing instead of stalling.  A node whose p_i is 0 (dead,
+    or too poor for p_i to be a positive number) is never elected.
     """
-    alive = net.residual > 0.0
     if avg_energy > 0.0:
         p = deec_probabilities(net.residual.reshape(net.runs, -1),
                                net.energy_factor.reshape(net.runs, -1),
                                avg_energy, cfg.p_opt).reshape(-1)
     else:
-        p = np.where(alive, 1.0, 0.0)
-    ep = elig.start_round(rnd, p)
-    rm = np.where(p > 0.0, rnd % ep, 0.0)
-    elected = _kernels.election_mask(u, p, rm, elig.eligible, alive)
-    ids = np.where(elected)[0].astype(np.int64)
-    elig.mark_elected(ids)
-    return ids
+        p = np.where(net.residual > 0.0, 1.0, 0.0)
+    epoch = np.maximum(np.floor(1.0 / np.maximum(p, 1e-300)), 1.0)
+    return _threshold_elect(net, p, epoch, tracker, rnd, u)
 
 
 # ---------------------------------------------------------------------------
@@ -232,21 +223,21 @@ def deec_elect_chs(
 
 def hteen_promote_layers(
     net: NetworkState,
-    layers: int,
     trackers: list[EpochTracker],
     layer_p: float,
     rnd: int,
     draws: np.ndarray,
 ) -> list[np.ndarray]:
-    """Elect the nested head tiers, each by LEACH's rule (`leach_elect_chs`)
-    at `layer_p`: tier 0 among every node, tier l+1 among the ids of tier
-    l, with tier l's epoch tracker `trackers[l]` and draws `draws[l]`.  So
-    each tier's election sees only the heads of the tier below.
+    """Elect the nested head tiers, one per epoch tracker in `trackers`,
+    each by LEACH's rule (`leach_elect_chs`) at `layer_p`: tier 0 among
+    every node, tier l+1 among the ids of tier l, with tier l's tracker
+    `trackers[l]` and draws `draws[l]`.  So each tier's election sees only
+    the heads of the tier below.
 
     Returns one id array per tier (ascending, each a subset of the previous).
     """
     tiers = [leach_elect_chs(net, layer_p, trackers[0], rnd, draws[0])]
-    for level in range(1, layers):
+    for level in range(1, len(trackers)):
         tiers.append(leach_elect_chs(net, layer_p, trackers[level], rnd, draws[level],
                                      among=tiers[-1]))
     return tiers

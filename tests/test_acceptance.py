@@ -95,7 +95,7 @@ def test_criterion_02_epoch_completeness(report):
     # charges): after the 10-round epoch every node served exactly once
     t0 = time.perf_counter()
     net = deploy(100, 100.0, 0.5, np.random.default_rng(1))
-    tracker = EpochTracker(net.n, 0.1)
+    tracker = EpochTracker(net.n)
     rng = np.random.default_rng(2)
     terms = np.zeros(net.n, int)
     for rnd in range(10):

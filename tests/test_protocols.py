@@ -14,7 +14,6 @@ import pytest
 
 from wsnsim import _kernels
 from wsnsim import (
-    DeecEligibility,
     EpochTracker,
     ProtocolKind,
     ScenarioConfig,
@@ -57,9 +56,15 @@ def test_protocol_parse_rejects_unknown():
 
 
 def test_epoch_length():
-    assert EpochTracker(1, 0.1).epoch == 10
-    assert EpochTracker(1, 0.3).epoch == 4  # ceil(10/3)
-    assert EpochTracker(1, 1.0).epoch == 1
+    # LEACH's epoch is ceil(1/p) rounds: with zero draws a node heads as
+    # soon as it is eligible, so every node heads at each multiple of the
+    # epoch and none in between
+    net = small_net(n=10)
+    for p, epoch in ((0.1, 10), (0.3, 4), (1.0, 1)):  # ceil(10/3) = 4
+        tracker = EpochTracker(net.n)
+        for rnd in range(3 * epoch + 1):
+            ids = leach_elect_chs(net, p, tracker, rnd, np.zeros(net.n))
+            assert len(ids) == (net.n if rnd % epoch == 0 else 0)
 
 
 # --- LEACH ----------------------------------------------------------------
@@ -69,7 +74,7 @@ def leach_elects(u, rnd, served=()):
     network (p = 0.1) of one node per draw; `served` nodes already headed
     this epoch."""
     net = deploy(len(u), 100.0, 0.5, np.random.default_rng(0))
-    tracker = EpochTracker(net.n, 0.1)
+    tracker = EpochTracker(net.n)
     tracker.mark_elected(list(served))
     return leach_elect_chs(net, 0.1, tracker, rnd, np.asarray(u)).tolist()
 
@@ -104,7 +109,7 @@ def test_leach_threshold_monotone_within_epoch():
 def test_leach_epoch_completeness():
     # with charges disabled every node must serve exactly once per epoch
     net = small_net()
-    tracker = EpochTracker(net.n, 0.1)
+    tracker = EpochTracker(net.n)
     rng = np.random.default_rng(9)
     terms = np.zeros(net.n, int)
     for rnd in range(10):
@@ -115,7 +120,7 @@ def test_leach_epoch_completeness():
 
 def test_leach_epoch_completeness_many_epochs():
     net = small_net(seed=6)
-    tracker = EpochTracker(net.n, 0.1)
+    tracker = EpochTracker(net.n)
     rng = np.random.default_rng(13)
     for epoch in range(5):
         terms = np.zeros(net.n, int)
@@ -127,7 +132,7 @@ def test_leach_epoch_completeness_many_epochs():
 def test_leach_never_elects_dead_nodes():
     net = small_net()
     net.residual[:40] = 0.0
-    tracker = EpochTracker(net.n, 0.1)
+    tracker = EpochTracker(net.n)
     rng = np.random.default_rng(9)
     for rnd in range(20):
         ids = leach_elect_chs(net, 0.1, tracker, rnd, rng.random(net.n))
@@ -263,11 +268,11 @@ def test_deec_weighs_each_stacked_run_against_its_own_population():
     for super_fraction, avg in itertools.product((0.3, 0.0), (0.21, 0.0)):
         cfg = ScenarioConfig(p_opt=0.1, deec_super_fraction=super_fraction)
         u = rng.random(120)
-        solo = [deec_elect_chs(copy.deepcopy(net), cfg, DeecEligibility(40), 7, avg,
+        solo = [deec_elect_chs(copy.deepcopy(net), cfg, EpochTracker(40), 7, avg,
                                u[40 * r:40 * (r + 1)]) + 40 * r
                 for r, net in enumerate(nets)]
         stacked = stack([copy.deepcopy(net) for net in nets])
-        ids = deec_elect_chs(stacked, cfg, DeecEligibility(120), 7, avg, u)
+        ids = deec_elect_chs(stacked, cfg, EpochTracker(120), 7, avg, u)
         assert np.array_equal(ids, np.concatenate(solo))
         assert len(solo[1]) > 0 and len(ids) > len(solo[1])
 
@@ -278,11 +283,11 @@ def test_deec_richer_nodes_elect_more_often():
                  advanced_fraction=0.2, advanced_factor=2.0)
     cfg = ScenarioConfig(deec_advanced_fraction=0.2, deec_advanced_factor=2.0,
                          deec_super_fraction=0.0)
-    elig = DeecEligibility(net.n)
+    tracker = EpochTracker(net.n)
     rng = np.random.default_rng(8)
     terms = np.zeros(net.n, int)
     for rnd in range(600):
-        ids = deec_elect_chs(net, cfg, elig, rnd, 0.5, rng.random(net.n))
+        ids = deec_elect_chs(net, cfg, tracker, rnd, 0.5, rng.random(net.n))
         terms[ids] += 1
     adv, normal = terms[net.energy_factor > 0], terms[net.energy_factor == 0]
     assert adv.mean() > 2.0 * normal.mean()
@@ -293,35 +298,112 @@ def test_deec_saturates_when_average_hits_zero():
     net = small_net()
     net.residual[0] = 0.0
     cfg = ScenarioConfig(deec_super_fraction=0.0)
-    elig = DeecEligibility(net.n)
-    ids = deec_elect_chs(net, cfg, elig, 3000, 0.0, np.random.default_rng(1).random(net.n))
+    tracker = EpochTracker(net.n)
+    ids = deec_elect_chs(net, cfg, tracker, 3000, 0.0, np.random.default_rng(1).random(net.n))
     assert len(ids) == 99
     assert 0 not in ids
 
 
 def test_deec_eligibility_personal_epochs():
-    elig = DeecEligibility(4)
-    p = np.array([0.5, 0.25, 0.1, 0.0])
-    elig.mark_elected([0, 1, 2, 3])
-    # floor(1/p), the clamped p=0 giving floor(1e300)
-    epochs = [2.0, 4.0, 10.0, 9.999999999999999e+299]
-    assert elig.start_round(2, p).tolist() == epochs  # 2 % 2 == 0 -> node 0 resets
-    assert list(elig.eligible) == [True, False, False, False]
-    assert elig.start_round(4, p).tolist() == epochs  # 4 % 4 == 0 -> node 1 resets too
-    assert list(elig.eligible) == [True, True, False, False]
-    elig.start_round(10, p)  # 10 % 10 == 0 -> node 2; p=0 never resets
-    assert list(elig.eligible) == [True, True, True, False]
-    assert elig.start_round(3, np.array([1.0, 0.3, 0.6, 2.0])).tolist() == [1.0, 3.0, 1.0, 1.0]
+    tracker = EpochTracker(4)
+    # floor(1/p) of p = 0.5, 0.25 and 0.1, and of the clamped p = 0
+    epochs = np.array([2.0, 4.0, 10.0, 9.999999999999999e+299])
+    tracker.mark_elected([0, 1, 2, 3])
+    assert tracker.start_round(2, epochs).tolist() == [0.0, 2.0, 2.0, 2.0]
+    assert list(tracker.eligible) == [True, False, False, False]  # 2 % 2 == 0
+    tracker.start_round(4, epochs)  # 4 % 4 == 0 -> node 1 resets too
+    assert list(tracker.eligible) == [True, True, False, False]
+    tracker.start_round(10, epochs)  # 10 % 10 == 0 -> node 2; p=0 never resets
+    assert list(tracker.eligible) == [True, True, True, False]
+    # DEEC gives node i an epoch of max(floor(1/p_i), 1) rounds.  Here p_i
+    # is node i's residual (p_opt and the average are 0.5, one energy
+    # level), clamped to 1; with zero draws a node heads exactly at the
+    # multiples of its epoch, and an alive node whose p_i underflows to 0
+    # never heads
+    cfg = ScenarioConfig(p_opt=0.5)
+    net = small_net(n=4)
+    for residual, epochs in (([0.5, 0.25, 0.1, 5e-324], [2, 4, 10, None]),
+                             ([1.0, 0.3, 0.6, 2.0], [1, 3, 1, 1])):
+        net.residual[:] = residual
+        tracker = EpochTracker(net.n)
+        for rnd in range(21):
+            ids = deec_elect_chs(net, cfg, tracker, rnd, 0.5, np.zeros(net.n))
+            assert ids.tolist() == [i for i, ep in enumerate(epochs) if ep and rnd % ep == 0]
+
+
+def deec_oracle(net, cfg, eligible, rnd, avg, u):
+    """DEEC's election as its own eligibility rule wrote it, node by node:
+    node i's epoch is max(floor(1/p_i), 1) with p_i clamped to 1e-300, a
+    node is re-admitted at the start of its epoch only while p_i > 0, and
+    rnd mod epoch is taken as 0 where p_i is 0.  Updates `eligible`;
+    returns the elected ids."""
+    alive = net.residual > 0.0
+    if avg > 0.0:
+        p = deec_probabilities(net.residual.reshape(net.runs, -1),
+                               net.energy_factor.reshape(net.runs, -1),
+                               avg, cfg.p_opt).reshape(-1)
+    else:
+        p = np.where(alive, 1.0, 0.0)
+    ids = []
+    for i in range(net.n):
+        ep = max(math.floor(1.0 / max(p[i], 1e-300)), 1.0)
+        if rnd % ep == 0 and p[i] > 0.0:
+            eligible[i] = True
+        rm = rnd % ep if p[i] > 0.0 else 0.0
+        denom = 1.0 - p[i] * rm
+        t = 1.0 if denom <= 0.0 else min(p[i] / denom, 1.0)
+        if eligible[i] and alive[i] and u[i] < t:
+            ids.append(i)
+            eligible[i] = False
+    return ids
+
+
+def test_deec_election_matches_per_node_eligibility_oracle():
+    # a stacked population with dead nodes, an alive node whose p_i
+    # underflows to 0 and one whose p_i is below the 1e-300 clamp, over
+    # rounds from 0 past personal-epoch boundaries to an announced average
+    # of 0: the same heads and the same eligible mask as the oracle
+    rng = np.random.default_rng(21)
+    cfg = ScenarioConfig(p_opt=0.1)
+    nets = [deploy(30, 100.0, 0.5, rng, advanced_fraction=0.3, advanced_factor=1.0,
+                   super_fraction=0.2, super_factor=2.0) for _ in range(3)]
+    net = stack(nets)
+    net.residual[[3, 31, 32, 77]] = 0.0
+    for backend in _kernels.BACKENDS:
+        use_backend(backend)
+        residual = net.residual.copy()
+        tracker = EpochTracker(net.n)
+        eligible = np.ones(net.n, np.bool_)
+        epochs = set()
+        for rnd in range(40):
+            net.residual[5], net.residual[40] = 5e-324, 1e-310
+            if rnd == 15:
+                net.residual[[10, 50, 88]] = 0.0
+            avg = max(0.5 * (1.0 - rnd / 30), 0.0)
+            u = rng.random(net.n)
+            want = deec_oracle(net, cfg, eligible, rnd, avg, u)
+            ids = deec_elect_chs(net, cfg, tracker, rnd, avg, u)
+            assert ids.dtype == np.int64 and ids.tolist() == want
+            assert tracker.eligible.tobytes() == eligible.tobytes()
+            if avg > 0.0:
+                p = deec_probabilities(net.residual.reshape(3, -1),
+                                       net.energy_factor.reshape(3, -1),
+                                       avg, cfg.p_opt)
+                assert p.reshape(-1)[5] == 0.0 < p.reshape(-1)[40] < 1e-300
+                epochs.update(np.floor(1.0 / p[p > 1e-300]).tolist())
+            net.residual *= rng.uniform(0.9, 1.0, net.n)
+        net.residual[:] = residual
+        assert {1.0, 2.0, 5.0, 10.0} <= epochs
 
 
 # --- H-TEEN ---------------------------------------------------------------
 
 def test_hteen_tiers_are_nested_subsets():
     net = small_net(seed=12)
-    trackers = [EpochTracker(net.n, 0.1) for _ in range(3)]
+    trackers = [EpochTracker(net.n) for _ in range(3)]
     rng = np.random.default_rng(3)
     draws = np.stack([rng.random(net.n) for _ in range(3)])
-    tiers = hteen_promote_layers(net, 3, trackers, 0.5, 0, draws)
+    tiers = hteen_promote_layers(net, trackers, 0.5, 0, draws)
     assert len(tiers) == 3
     assert len(tiers[-1]) > 0
     for lower, upper in zip(tiers, tiers[1:]):
@@ -336,13 +418,13 @@ def test_hteen_tier_is_leach_election_among_the_tier_below():
     net = small_net(seed=13)
     dead = np.random.default_rng(6).choice(net.n, 10, replace=False)
     net.residual[dead] = 0.0
-    trackers = [EpochTracker(net.n, 0.4) for _ in range(3)]
+    trackers = [EpochTracker(net.n) for _ in range(3)]
     rng = np.random.default_rng(7)
     top = 0
     for rnd in range(7):
         draws = rng.random((3, net.n))
         before = [copy.deepcopy(t) for t in trackers]
-        tiers = hteen_promote_layers(net, 3, trackers, 0.4, rnd, draws)
+        tiers = hteen_promote_layers(net, trackers, 0.4, rnd, draws)
         below = None
         for level, tier in enumerate(tiers):
             want = leach_elect_chs(net, 0.4, before[level], rnd, draws[level],
@@ -520,7 +602,7 @@ def test_hteen_tier_walk_is_one_nearest_site_call(monkeypatch):
 
 def test_hteen_flat_tier_targets_sink_at_sink_distance():
     net = small_net(seed=12)
-    tracker = EpochTracker(net.n, 0.1)
+    tracker = EpochTracker(net.n)
     ch_ids = leach_elect_chs(net, 0.1, tracker, 0, np.random.default_rng(4).random(net.n))
     assert ch_ids.size > 1
     for direct_r2 in (-np.inf, 0.0, 1e9):
